@@ -23,18 +23,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 
 from .divdiff import divided_difference
-from .funcs import Polynomial, parse_function
+from .funcs import parse_function
 from .identity import (
     DEFAULT_ORDER,
     DEFAULT_SEED,
     DEFAULT_TOLERANCE,
     LEMMA_GROUPS,
+    _float_verdict,
     check_identity_exact,
     check_identity_numeric,
     check_volume_symbolic,
@@ -49,6 +51,20 @@ from .quad import BudgetExceededError, DEFAULT_BUDGET, integral_side
 from .symfun import vandermonde_product
 
 _ENV_PREFIX = "VANDIFF_"
+
+
+def budget(text: str) -> int:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("budget must be finite")
+    return int(value)
+
+
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError("tolerance must be finite and non-negative")
+    return value
 
 
 def _env_default(name: str, cast, fallback):
@@ -87,14 +103,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tolerance",
-        type=float,
-        default=_env_default("TOLERANCE", float, DEFAULT_TOLERANCE),
+        type=tolerance,
+        default=_env_default("TOLERANCE", tolerance, DEFAULT_TOLERANCE),
         help="relative tolerance for floating checks",
     )
     common.add_argument(
         "--budget",
-        type=lambda s: int(float(s)),
-        default=_env_default("BUDGET", lambda s: int(float(s)), DEFAULT_BUDGET),
+        type=budget,
+        default=_env_default("BUDGET", budget, DEFAULT_BUDGET),
         help="maximum total quadrature evaluations",
     )
     common.add_argument(
@@ -202,40 +218,35 @@ def build_parser() -> argparse.ArgumentParser:
 # -- output ---------------------------------------------------------------------
 
 
+def _encode(v) -> str:
+    # JSON-encode everything but bare strings, so csv and text cells spell
+    # booleans and null as the json format does.  NaN and Infinity are not
+    # JSON: a non-finite value raises ValueError, which main turns into exit 2
+    return v if isinstance(v, str) else json.dumps(
+        v, separators=(",", ":"), allow_nan=False
+    )
+
+
 def _emit(records: list[dict], fmt: str) -> None:
+    """Render every record first and write only then, so a record that
+    cannot be rendered leaves stdout empty."""
+    records = [json_value(rec) for rec in records]
     if fmt == "json":
-        for rec in records:
-            print(json.dumps(json_value(rec), separators=(",", ":")))
+        text = "".join(_encode(rec) + "\n" for rec in records)
     elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         if records:
             keys = list(records[0])
             writer.writerow(keys)
-            for rec in records:
-                row = []
-                for k in keys:
-                    v = json_value(rec.get(k))
-                    # JSON-encode everything but bare strings so booleans
-                    # and null match the json format's spelling
-                    row.append(
-                        v
-                        if isinstance(v, str)
-                        else json.dumps(v, separators=(",", ":"))
-                    )
-                writer.writerow(row)
+            writer.writerows([_encode(rec.get(k)) for k in keys] for rec in records)
+        text = buf.getvalue()
     else:
-        for rec in records:
-            parts = []
-            for k, v in rec.items():
-                v = json_value(v)
-                if not isinstance(v, str):
-                    v = json.dumps(v, separators=(",", ":"))
-                parts.append(f"{k}={v}")
-            print("  ".join(parts))
-
-
-def _report_records(reports) -> list[dict]:
-    return [r.to_dict() for r in reports]
+        text = "".join(
+            "  ".join(f"{k}={_encode(v)}" for k, v in rec.items()) + "\n"
+            for rec in records
+        )
+    sys.stdout.write(text)
 
 
 # -- command handlers -------------------------------------------------------------
@@ -245,21 +256,19 @@ def cmd_divdiff(args) -> int:
     points = parse_points(args.points)
     f = parse_function(args.function)
     table_value = float(divided_difference(points, f))
-    base = {
+    record = {
         "name": "divided-difference",
         "points": list(points.values),
         "function": f.describe(),
     }
-    if args.check:
+    passed = True
+    if args.check or args.via_integral:
         via = divided_difference_via_integral(
             points, f, args.order, workers=args.workers, budget=args.budget
         )
-        abs_err = abs(table_value - via)
-        scale = abs(table_value)
-        rel_err = abs_err if scale < 1e-14 else abs_err / scale
-        passed = rel_err <= args.tolerance
-        record = dict(
-            base,
+    if args.check:
+        abs_err, rel_err, passed = _float_verdict(via, table_value, args.tolerance)
+        record.update(
             name="divided-difference-route-check",
             table=table_value,
             integral=via,
@@ -268,51 +277,35 @@ def cmd_divdiff(args) -> int:
             tolerance=args.tolerance,
             passed=passed,
         )
-        _emit([record], args.format)
-        return 0 if passed else 1
-    if args.via_integral:
-        value = divided_difference_via_integral(
-            points, f, args.order, workers=args.workers, budget=args.budget
-        )
-        record = dict(base, route="integral", order=args.order, value=value)
+    elif args.via_integral:
+        record.update(route="integral", order=args.order, value=via)
     else:
-        record = dict(base, route="table", value=table_value)
+        record.update(route="table", value=table_value)
     _emit([record], args.format)
-    return 0
+    return 0 if passed else 1
 
 
 def cmd_integral(args) -> int:
     x = parse_points(args.x, exact=args.symbolic)
     f = parse_function(args.function)
-    if args.symbolic:
-        if not isinstance(f, Polynomial):
-            print(
-                "error: --symbolic needs a polynomial function",
-                file=sys.stderr,
-            )
-            return 2
-        value = exact_integral_value(x, f)
-        record = {
-            "name": "integral-side",
-            "n": x.n,
-            "pipeline": "exact",
-            "points": list(x.values),
-            "function": f.describe(),
-            "value": value,
-        }
-        _emit([record], args.format)
-        return 0
-    result = integral_side(x, f, args.order, workers=args.workers, budget=args.budget)
     record = {
         "name": "integral-side",
         "n": x.n,
-        "pipeline": "floating",
-        "points": list(x.as_floats()),
+        "pipeline": "exact" if args.symbolic else "floating",
+        "points": list(x.values),
         "function": f.describe(),
-        "order": result.nodes_per_axis,
-        "evaluations": result.function_evaluations,
-        "value": result.value,
     }
+    if args.symbolic:
+        record["value"] = exact_integral_value(x, f)
+    else:
+        result = integral_side(
+            x, f, args.order, workers=args.workers, budget=args.budget
+        )
+        record.update(
+            order=args.order,
+            evaluations=result.function_evaluations,
+            value=result.value,
+        )
     _emit([record], args.format)
     return 0
 
@@ -322,13 +315,6 @@ def cmd_theorem1(args) -> int:
     x = parse_points(args.x, exact=args.symbolic)
     f = parse_function(args.function)
     if args.symbolic:
-        if not isinstance(f, Polynomial):
-            print(
-                "error: --symbolic needs a polynomial function "
-                "(transcendental families have no exact pipeline)",
-                file=sys.stderr,
-            )
-            return 2
         report = check_identity_exact(x, f)
     else:
         report = check_identity_numeric(
@@ -339,7 +325,7 @@ def cmd_theorem1(args) -> int:
             workers=args.workers,
             budget=args.budget,
         )
-    _emit(_report_records([report]), args.format)
+    _emit([report.to_dict()], args.format)
     return 0 if report.passed else 1
 
 
@@ -348,7 +334,7 @@ def cmd_corollary(args) -> int:
         print("error: --n-max must be at least 1", file=sys.stderr)
         return 2
     reports = [check_volume_symbolic(n) for n in range(1, args.n_max + 1)]
-    _emit(_report_records(reports), args.format)
+    _emit([r.to_dict() for r in reports], args.format)
     return 0 if suite_passed(reports) else 1
 
 
@@ -359,7 +345,7 @@ def cmd_verify_lemmas(args) -> int:
     reports = run_lemma_suite(
         args.n_max, groups=groups, seed=args.seed, cases=args.cases
     )
-    _emit(_report_records(reports), args.format)
+    _emit([r.to_dict() for r in reports], args.format)
     return 0 if suite_passed(reports) else 1
 
 
@@ -405,9 +391,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, BudgetExceededError) as exc:
+    except (ValueError, TypeError, OverflowError, BudgetExceededError) as exc:
         # covers parse errors, non-increasing points, symbolic caps, poles
-        # inside the domain, and infeasible order/dimension requests
+        # inside the domain, infeasible order/dimension requests, values
+        # beyond float range, and non-finite output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

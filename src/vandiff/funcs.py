@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import MultiPoly, VarId
+from .exact import MultiPoly
 
 
 class PoleError(ValueError):
@@ -33,10 +33,6 @@ class AnalyticFunction:
 
     def __call__(self, x):
         raise NotImplementedError
-
-    def as_polynomial(self, variable: VarId) -> MultiPoly | None:
-        """Exact univariate polynomial form, or None for transcendentals."""
-        return None
 
     def pole(self) -> float | None:
         return None
@@ -86,12 +82,12 @@ class Polynomial(AnalyticFunction):
             acc = acc * x + (c if exact else float(c))
         return acc
 
-    def as_polynomial(self, variable: VarId) -> MultiPoly:
-        v = MultiPoly.variable(variable)
-        result = MultiPoly.zero()
+    def compose(self, inner: MultiPoly) -> MultiPoly:
+        """Exact composition self(inner) by Horner in the polynomial ring."""
+        acc = MultiPoly.zero()
         for c in reversed(self.coeffs):
-            result = result * v + MultiPoly.const(c)
-        return result
+            acc = acc * inner + c
+        return acc
 
     def describe(self) -> str:
         return "poly:" + ",".join(str(c) for c in self.coeffs) if self.coeffs else "poly:0"

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Sequence
 
 from .divdiff import divided_difference, divided_difference_side
@@ -54,19 +55,6 @@ DEFAULT_SEED = 2718
 # falls back to an absolute error test
 ZERO_GUARD = 1e-14
 ABS_FALLBACK = 1e-12
-
-LEMMA_GROUPS = (
-    "esym-derivative",
-    "omega-derivative",
-    "pure-derivative",
-    "pure-vanish",
-    "power-sum-vanish",
-    "mixed-sum-vanish",
-    "newton",
-    "chain-rule",
-    "vertex-sum",
-    "reduced-vertex-sum",
-)
 
 
 @dataclass(frozen=True)
@@ -162,14 +150,6 @@ def _sum_poly(variables: Sequence[VarId]) -> MultiPoly:
     return total
 
 
-def _compose(f: Polynomial, inner: MultiPoly) -> MultiPoly:
-    """Exact composition f(inner) by Horner in the polynomial ring."""
-    acc = MultiPoly.zero()
-    for c in reversed(f.coeffs):
-        acc = acc * inner + Fraction(c)
-    return acc
-
-
 def _require_exact_polynomial(f: AnalyticFunction) -> Polynomial:
     # Polynomial coerces its coefficients to Fraction on construction, so
     # the family check alone guarantees exactness
@@ -230,9 +210,7 @@ def exact_integral_value(x: PointSequence, f: Polynomial) -> Fraction:
     f = _require_exact_polynomial(f)
     n = x.n
     tvars = var_family("t", n)
-    value = vandermonde_poly(n, "t") * _compose(
-        f.derivative(n), _sum_poly(tvars)
-    )
+    value = vandermonde_poly(n, "t") * f.derivative(n).compose(_sum_poly(tvars))
     for i, v in enumerate(tvars):
         value = value.integrate(v, x[i], x[i + 1])
     return value.as_constant()
@@ -322,12 +300,12 @@ def check_chain_rule(
     f = _require_exact_polynomial(f)
     tvars = var_family("t", n)
     s_poly = _sum_poly(tvars)
-    phi = psi * _compose(f, s_poly)
+    phi = psi * f.compose(s_poly)
     lhs = apply_operator(MixedSum(n), phi, tvars)
     rhs = MultiPoly.zero()
     for k in range(n + 1):
         ek_psi = psi if k == 0 else apply_operator(MixedSum(k), psi, tvars)
-        rhs = rhs + ek_psi * _compose(f.derivative(n - k), s_poly)
+        rhs = rhs + ek_psi * f.derivative(n - k).compose(s_poly)
     return _exact_report(
         "product-chain-rule",
         n,
@@ -338,29 +316,19 @@ def check_chain_rule(
     )
 
 
-@dataclass(frozen=True)
-class ZeroPropertyFunction:
-    """A polynomial in t_1..t_n that vanishes whenever t_i = t_{i+1}."""
-
-    poly: MultiPoly
-    variables: tuple[VarId, ...]
-
-    def holds(self) -> bool:
-        """Exact check by substituting each t_{i+1} := t_i."""
-        for a, b in zip(self.variables, self.variables[1:]):
-            if not self.poly.substitute(b, MultiPoly.variable(a)).is_zero:
-                return False
-        return True
-
-    def eval(self, point: Sequence) -> Fraction:
-        return self.poly.eval(dict(zip(self.variables, point)))
+def _has_zero_property(poly: MultiPoly, variables: Sequence[VarId]) -> bool:
+    """Exact check that poly vanishes whenever t_i = t_{i+1}."""
+    return all(
+        poly.substitute(b, MultiPoly.variable(a)).is_zero
+        for a, b in zip(variables, variables[1:])
+    )
 
 
 def _alternating_vertex_sum(phi: MultiPoly, tvars, bounds) -> Fraction:
     n = len(bounds)
     total = Fraction(0)
-    for selector, vertex in enumerate_vertices(bounds):
-        sign = -1 if (n - selector.weight) % 2 else 1
+    for eps, vertex in enumerate_vertices(bounds):
+        sign = -1 if (n - sum(eps)) % 2 else 1
         total += sign * phi.eval(dict(zip(tvars, vertex)))
     return total
 
@@ -408,7 +376,7 @@ def check_reduced_vertex_sum(
     n = x.n
     tvars = var_family("t", n)
     phi = vandermonde_poly(n, "t") * g
-    zero_property = ZeroPropertyFunction(phi, tuple(tvars)).holds()
+    zero_property = _has_zero_property(phi, tvars)
     bounds = SequentialRectangle(x).intervals
     lhs = _box_integral_of_mixed_derivative(phi, tvars, bounds)
     full = _alternating_vertex_sum(phi, tvars, bounds)
@@ -416,23 +384,20 @@ def check_reduced_vertex_sum(
     for i, vertex in enumerate(monotone_vertices(x), start=1):
         sign = -1 if (n + 1 - i) % 2 else 1
         reduced += sign * phi.eval(dict(zip(tvars, vertex)))
-    passed = zero_property and lhs == reduced == full
-    err = 0.0 if passed else abs(float(lhs) - float(reduced))
-    return IdentityReport(
-        name="reduced-vertex-sum",
-        n=n,
-        lhs=lhs,
-        rhs=reduced,
-        abs_err=err,
-        rel_err=err,
-        passed=passed,
-        tolerance=0.0,
+    report = _exact_report(
+        "reduced-vertex-sum",
+        n,
+        lhs,
+        reduced,
         seed=seed,
         config={
             "points": list(x.values),
             "full_sum": full,
             "zero_property": zero_property,
         },
+    )
+    return replace(
+        report, passed=report.passed and zero_property and reduced == full
     )
 
 
@@ -573,13 +538,6 @@ def _suite_omega(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
             )
 
 
-def _distinct_rationals(rng: random.Random, count: int, max_abs: int = 30):
-    seen = set()
-    while len(seen) < count:
-        seen.add(random_fraction(rng, max_abs))
-    return sorted(seen)
-
-
 def _suite_pure_derivative(
     n_max: int, seed: int, cases: int
 ) -> Iterator[IdentityReport]:
@@ -591,10 +549,9 @@ def _suite_pure_derivative(
         rng = _group_rng(seed, "pure-derivative", n)
         for k in range(1, n):
             derivs = [v_poly.diff(t, k) for t in tvars]
-            passed = True
             witness = (Fraction(0), Fraction(0))
             for _ in range(cases):
-                vals = _distinct_rationals(rng, n)
+                vals = random_increasing_rationals(rng, n, max_abs=30).values
                 assignment = dict(zip(tvars, vals))
                 v_val = v_poly.eval(assignment)
                 for i in range(n):
@@ -611,20 +568,13 @@ def _suite_pure_derivative(
                     )
                     witness = (lhs, rhs)
                     if lhs != rhs:
-                        passed = False
                         break
-                if not passed:
+                if witness[0] != witness[1]:
                     break
-            err = 0.0 if passed else abs(float(witness[0]) - float(witness[1]))
-            yield IdentityReport(
-                name=f"pure-derivative[n={n},k={k}]",
-                n=n,
-                lhs=witness[0],
-                rhs=witness[1],
-                abs_err=err,
-                rel_err=err,
-                passed=passed,
-                tolerance=0.0,
+            yield _exact_report(
+                f"pure-derivative[n={n},k={k}]",
+                n,
+                *witness,
                 seed=seed,
                 config={"samples": cases},
             )
@@ -647,7 +597,7 @@ def _suite_pure_vanish(n_max: int, seed: int, cases: int) -> Iterator[IdentityRe
 
 
 def _suite_operator_vanish(
-    group: str, n_max: int, seed: int
+    group: str, n_max: int, seed: int, cases: int
 ) -> Iterator[IdentityReport]:
     make = PureSum if group == "power-sum-vanish" else MixedSum
     for n in range(1, n_max + 1):
@@ -667,7 +617,6 @@ def _suite_newton(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]
         tvars = var_family("t", n)
         rng = _group_rng(seed, "newton", n)
         for k in range(1, n + 1):
-            passed = True
             witness = (MultiPoly.zero(), MultiPoly.zero())
             for _ in range(cases):
                 p = random_poly(rng, tvars)
@@ -680,19 +629,12 @@ def _suite_newton(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]
                     rhs = rhs + (-1) ** (i - 1) * term
                 rhs = rhs + (-1) ** (k - 1) * apply_operator(PureSum(k), p, tvars)
                 witness = (lhs, rhs)
-                if not (lhs - rhs).is_zero:
-                    passed = False
+                if lhs != rhs:
                     break
-            err = 0.0 if passed else _poly_magnitude(witness[0] - witness[1])
-            yield IdentityReport(
-                name=f"newton[n={n},k={k}]",
-                n=n,
-                lhs=witness[0],
-                rhs=witness[1],
-                abs_err=err,
-                rel_err=err,
-                passed=passed,
-                tolerance=0.0,
+            yield _exact_report(
+                f"newton[n={n},k={k}]",
+                n,
+                *witness,
                 seed=seed,
                 config={"samples": cases},
             )
@@ -738,6 +680,22 @@ def _suite_reduced_vertex_sum(
             yield replace(report, name=f"reduced-vertex-sum[n={n},case={j}]")
 
 
+# group name -> suite(n_max, seed, cases), in report order
+_LEMMA_SUITES = {
+    "esym-derivative": _suite_esym,
+    "omega-derivative": _suite_omega,
+    "pure-derivative": _suite_pure_derivative,
+    "pure-vanish": _suite_pure_vanish,
+    "power-sum-vanish": partial(_suite_operator_vanish, "power-sum-vanish"),
+    "mixed-sum-vanish": partial(_suite_operator_vanish, "mixed-sum-vanish"),
+    "newton": _suite_newton,
+    "chain-rule": _suite_chain_rule,
+    "vertex-sum": _suite_vertex_sum,
+    "reduced-vertex-sum": _suite_reduced_vertex_sum,
+}
+LEMMA_GROUPS = tuple(_LEMMA_SUITES)
+
+
 def run_lemma_suite(
     n_max: int = 5,
     *,
@@ -759,27 +717,9 @@ def run_lemma_suite(
             f"expected a subset of {', '.join(LEMMA_GROUPS)}"
         )
     out: list[IdentityReport] = []
-    for group in LEMMA_GROUPS:
-        if group not in chosen:
-            continue
-        if group == "esym-derivative":
-            out.extend(_suite_esym(n_max, seed, cases))
-        elif group == "omega-derivative":
-            out.extend(_suite_omega(n_max, seed, cases))
-        elif group == "pure-derivative":
-            out.extend(_suite_pure_derivative(n_max, seed, cases))
-        elif group == "pure-vanish":
-            out.extend(_suite_pure_vanish(n_max, seed, cases))
-        elif group in ("power-sum-vanish", "mixed-sum-vanish"):
-            out.extend(_suite_operator_vanish(group, n_max, seed))
-        elif group == "newton":
-            out.extend(_suite_newton(n_max, seed, cases))
-        elif group == "chain-rule":
-            out.extend(_suite_chain_rule(n_max, seed, cases))
-        elif group == "vertex-sum":
-            out.extend(_suite_vertex_sum(n_max, seed, cases))
-        elif group == "reduced-vertex-sum":
-            out.extend(_suite_reduced_vertex_sum(n_max, seed, cases))
+    for group, suite in _LEMMA_SUITES.items():
+        if group in chosen:
+            out.extend(suite(n_max, seed, cases))
     return out
 
 

@@ -174,16 +174,6 @@ class TransformMatrix:
     def apply(self, values: Sequence) -> tuple:
         return tuple(sum(c * v for c, v in zip(row, values) if c) for row in self.entries)
 
-    def matmul(self, other: TransformMatrix) -> tuple[tuple[Fraction, ...], ...]:
-        size = len(self.entries)
-        return tuple(
-            tuple(
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(size)), Fraction(0))
-                for j in range(size)
-            )
-            for i in range(size)
-        )
-
 
 def transform_matrix(n: int, role: MatrixRole = "forward") -> TransformMatrix:
     """Explicit matrix for y = M x (forward) or x = M^{-1} y (inverse).

@@ -46,7 +46,6 @@ class QuadratureRule:
 @dataclass(frozen=True)
 class CubatureResult:
     value: float
-    nodes_per_axis: int
     function_evaluations: int
 
 
@@ -140,7 +139,7 @@ def integrate_over_rectangle(
         partials = [chunk_sum(s) for s in starts]
     # fsum is exactly rounded, so combining fixed chunk totals cannot
     # depend on how chunks were assigned to workers
-    return CubatureResult(math.fsum(partials), order, total)
+    return CubatureResult(math.fsum(partials), total)
 
 
 def integral_side(

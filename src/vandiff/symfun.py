@@ -135,27 +135,11 @@ def apply_operator(op: OperatorKind, p: MultiPoly, variables: Sequence[VarId]) -
     return result
 
 
-@dataclass(frozen=True)
-class VertexSelector:
-    """Binary lower/upper choice per axis of a rectangle vertex."""
+def enumerate_vertices(bounds: Sequence[tuple]) -> list[tuple[tuple[int, ...], tuple]]:
+    """All 2^n (flags, vertex) pairs of the rectangle, in binary-counter order.
 
-    epsilon: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e not in (0, 1) for e in self.epsilon):
-            raise ValueError("selector entries must be 0 or 1")
-
-    @property
-    def weight(self) -> int:
-        """Number of upper-bound picks (the selector's coordinate sum)."""
-        return sum(self.epsilon)
-
-
-def enumerate_vertices(bounds: Sequence[tuple]) -> list[tuple[VertexSelector, tuple]]:
-    """All 2^n vertices of the rectangle, in binary-counter order.
-
-    The first axis flag is the least significant bit, so vertices come out
-    in a fixed, reproducible order.
+    Flag i picks the lower (0) or upper (1) bound of axis i; the first flag
+    is the least significant bit, so vertices come out in a fixed order.
     """
     n = len(bounds)
     if n < 1:
@@ -164,16 +148,5 @@ def enumerate_vertices(bounds: Sequence[tuple]) -> list[tuple[VertexSelector, tu
     for code in range(1 << n):
         eps = tuple((code >> i) & 1 for i in range(n))
         point = tuple(bounds[i][eps[i]] for i in range(n))
-        out.append((VertexSelector(eps), point))
+        out.append((eps, point))
     return out
-
-
-def monotone_selectors(n: int) -> list[VertexSelector]:
-    """The n+1 non-decreasing selectors (0..0), (0..01), ..., (1..1).
-
-    Selector i (1-based) has n+1-i zeros followed by i-1 ones, so its
-    weight is i-1.
-    """
-    if n < 1:
-        raise ValueError("need at least one axis")
-    return [VertexSelector((0,) * (n + 1 - i) + (1,) * (i - 1)) for i in range(1, n + 2)]

@@ -74,6 +74,25 @@ def test_divdiff_check_compares_routes():
     assert rec["rel_err"] <= rec["tolerance"]
 
 
+def test_divdiff_check_uses_library_verdict():
+    # the table value is about -6.5e-34, below the zero guard, so the
+    # verdict tests the absolute error (2.8e-11 at order 8) against 1e-12
+    proc = run_cli(
+        "divdiff",
+        "--points=0,3.141592653589793,9.42477796076938",
+        "--function",
+        "sin:1",
+        "--check",
+        "--order",
+        "8",
+    )
+    assert proc.returncode == 1, proc.stderr
+    (rec,) = json_lines(proc)
+    assert rec["passed"] is False
+    assert abs(rec["table"]) < 1e-14
+    assert rec["rel_err"] == rec["abs_err"] > 1e-12
+
+
 def test_divdiff_repeated_points_exit_2():
     proc = run_cli("divdiff", "--points", "1,1,3", "--function", "exp:1")
     assert proc.returncode == 2

@@ -18,7 +18,7 @@ from vandiff.points import (
     x_from_y,
     y_from_x,
 )
-from vandiff.symfun import monotone_selectors, vandermonde_poly, vandermonde_product
+from vandiff.symfun import enumerate_vertices, vandermonde_poly, vandermonde_product
 
 
 def exact_seq(*vals):
@@ -187,11 +187,13 @@ def test_monotone_vertex_sums_are_y_values():
 def test_monotone_vertices_match_selectors_on_intervals():
     x = exact_seq(Fraction(-1), Fraction(1, 2), 3, 7)
     intervals = SequentialRectangle(x).intervals
-    sels = monotone_selectors(x.n)
+    # the n+1 non-decreasing lower/upper flags (0..0), (0..01), ..., (1..1)
+    sels = [(0,) * (x.n + 1 - i) + (1,) * (i - 1) for i in range(1, x.n + 2)]
     expected = [
-        tuple(intervals[axis][sel.epsilon[axis]] for axis in range(x.n)) for sel in sels
+        tuple(intervals[axis][eps[axis]] for axis in range(x.n)) for eps in sels
     ]
     assert monotone_vertices(x) == expected
+    assert set(zip(sels, expected)) <= set(enumerate_vertices(intervals))
 
 
 # -- explicit matrices ---------------------------------------------------------------
@@ -216,12 +218,10 @@ def test_forward_times_inverse_is_identity():
         fwd = transform_matrix(n, "forward")
         inv = transform_matrix(n, "inverse")
         size = n + 1
-        identity = tuple(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(size))
-            for i in range(size)
-        )
-        assert fwd.matmul(inv) == identity
-        assert inv.matmul(fwd) == identity
+        for j in range(size):
+            unit = tuple(Fraction(int(i == j)) for i in range(size))
+            assert fwd.apply(inv.apply(unit)) == unit
+            assert inv.apply(fwd.apply(unit)) == unit
 
 
 def test_forward_matrix_entries_n2():

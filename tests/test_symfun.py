@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vandiff.exact import MultiPoly, VarId, var_family
+from vandiff.points import PointSequence, SequentialRectangle, monotone_vertices
 from vandiff.symfun import (
     DEFAULT_SYMBOLIC_LIMIT,
     MixedSum,
     PureSum,
     SymbolicLimitError,
-    VertexSelector,
     apply_operator,
     elementary_symmetric,
     enumerate_vertices,
-    monotone_selectors,
     omega,
     vandermonde_poly,
     vandermonde_product,
@@ -204,8 +203,7 @@ def test_pure_sum_k1_equals_mixed_sum_k1():
 def test_enumerate_vertices_order_and_values():
     got = enumerate_vertices([(0, 1), (1, 2)])
     assert [pt for _, pt in got] == [(0, 1), (1, 1), (0, 2), (1, 2)]
-    assert [sel.epsilon for sel, _ in got] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    assert [sel.weight for sel, _ in got] == [0, 1, 1, 2]
+    assert [eps for eps, _ in got] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_enumerate_vertices_count():
@@ -213,23 +211,15 @@ def test_enumerate_vertices_count():
     assert len(enumerate_vertices(bounds)) == 16
 
 
-def test_vertex_selector_validation():
-    with pytest.raises(ValueError):
-        VertexSelector((0, 2))
-
-
-def test_monotone_selectors_shape():
-    sels = monotone_selectors(2)
-    assert [s.epsilon for s in sels] == [(0, 0), (0, 1), (1, 1)]
-    assert [s.weight for s in sels] == [0, 1, 2]
-
-
 def test_monotone_selectors_are_subset_of_all_vertices():
     for n in range(1, 5):
-        all_eps = {sel.epsilon for sel, _ in enumerate_vertices([(0, 1)] * n)}
-        mono = monotone_selectors(n)
+        x = PointSequence.exact([Fraction(i * i) for i in range(n + 1)])
+        flagged = dict(
+            (point, eps) for eps, point in enumerate_vertices(SequentialRectangle(x).intervals)
+        )
+        mono = monotone_vertices(x)
         assert len(mono) == n + 1
-        assert all(s.epsilon in all_eps for s in mono)
+        assert all(v in flagged for v in mono)
         # non-decreasing flags within each selector
-        for s in mono:
-            assert list(s.epsilon) == sorted(s.epsilon)
+        for v in mono:
+            assert list(flagged[v]) == sorted(flagged[v])
