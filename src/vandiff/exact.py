@@ -12,6 +12,11 @@ rationals (fractions.Fraction); floats are rejected so that identity
 checks can demand the literal zero polynomial rather than a small
 residual.
 
+Terms enter only through zero/one/const/variable and the ring and
+calculus operations.  One accumulator, `_collect`, merges equal monomials
+and drops every term that cancels to 0; that invariant is what makes
+`is_zero` a proof that an identity holds.
+
 Variables are (family, index) pairs ordered family-first, so the
 t-family sorts before the x-family and rendered output is deterministic:
 terms are emitted in graded-lexicographic order (total degree first,
@@ -46,6 +51,7 @@ def var_family(family: str, count: int, start: int = 1) -> list[VarId]:
 
 # Monomial: ((var, exp), ...) sorted by var, all exps > 0; () is the unit.
 Monomial = tuple[tuple[VarId, int], ...]
+Terms = dict[Monomial, Fraction]
 
 
 class MissingVariableError(ValueError):
@@ -65,12 +71,19 @@ def _coeff(value: CoeffLike) -> Fraction:
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
 
 
-def _normalize_mono(mono: Iterable[tuple[VarId, int]]) -> Monomial:
-    pairs = [(v, e) for v, e in mono if e != 0]
-    for _, e in pairs:
-        if e < 0:
-            raise ValueError("negative exponent in monomial")
-    return tuple(sorted(pairs))
+def _collect(pairs: Iterable[tuple[Monomial, Fraction]], into: Terms | None = None) -> Terms:
+    """Sum the coefficients of equal monomials into `into` (a new dict by
+    default), dropping every monomial whose sum is 0; returns the dict."""
+    out = {} if into is None else into
+    for mono, c in pairs:
+        if mono in out:
+            c = out[mono] + c
+            if not c:
+                del out[mono]
+                continue
+        if c:
+            out[mono] = c
+    return out
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -98,23 +111,12 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _mono_exponent(mono: Monomial, v: VarId) -> int:
-    for w, e in mono:
+def _split(mono: Monomial, v: VarId) -> tuple[int, Monomial]:
+    """v's exponent in mono (0 if absent), and mono without v."""
+    for i, (w, e) in enumerate(mono):
         if w == v:
-            return e
-    return 0
-
-
-def _mono_without(mono: Monomial, v: VarId) -> Monomial:
-    return tuple(pair for pair in mono if pair[0] != v)
-
-
-def _mono_with(mono: Monomial, v: VarId, e: int) -> Monomial:
-    """Copy of mono with v's exponent set to e (e=0 removes it)."""
-    rest = _mono_without(mono, v)
-    if e == 0:
-        return rest
-    return tuple(sorted(rest + ((v, e),)))
+            return e, mono[:i] + mono[i + 1 :]
+    return 0, mono
 
 
 class MultiPoly:
@@ -122,20 +124,8 @@ class MultiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, CoeffLike] | None = None):
-        data: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coeff(c)
-                if c == 0:
-                    continue
-                key = _normalize_mono(mono)
-                merged = data.get(key, Fraction(0)) + c
-                if merged:
-                    data[key] = merged
-                elif key in data:
-                    del data[key]
-        self._terms = data
+    def __init__(self) -> None:
+        self._terms: Terms = {}
 
     # -- construction -----------------------------------------------------
 
@@ -149,20 +139,16 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: CoeffLike) -> MultiPoly:
-        p = cls.__new__(cls)
         c = _coeff(value)
-        p._terms = {(): c} if c else {}
-        return p
+        return cls._raw({(): c} if c else {})
 
     @classmethod
     def variable(cls, v: VarId) -> MultiPoly:
-        p = cls.__new__(cls)
-        p._terms = {((v, 1),): Fraction(1)}
-        return p
+        return cls._raw({((v, 1),): Fraction(1)})
 
     @classmethod
-    def _raw(cls, terms: dict[Monomial, Fraction]) -> MultiPoly:
-        # internal: terms already canonical
+    def _raw(cls, terms: Terms) -> MultiPoly:
+        # the one way stored terms enter: canonical, no zero coefficient
         p = cls.__new__(cls)
         p._terms = terms
         return p
@@ -173,7 +159,7 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> Terms:
         return dict(self._terms)
 
     def variables(self) -> tuple[VarId, ...]:
@@ -182,14 +168,10 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum total degree over all terms; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self._terms)
+        return max((sum(e for _, e in mono) for mono in self._terms), default=0)
 
     def degree_in(self, v: VarId) -> int:
-        if not self._terms:
-            return 0
-        return max(_mono_exponent(mono, v) for mono in self._terms)
+        return max((_split(mono, v)[0] for mono in self._terms), default=0)
 
     def as_constant(self) -> Fraction:
         """The value of a constant polynomial; error if variables remain."""
@@ -221,14 +203,7 @@ class MultiPoly:
 
     def __add__(self, other) -> MultiPoly:
         other = self._as_poly(other)
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            merged = out.get(mono, Fraction(0)) + c
-            if merged:
-                out[mono] = merged
-            elif mono in out:
-                del out[mono]
-        return MultiPoly._raw(out)
+        return MultiPoly._raw(_collect(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -243,16 +218,13 @@ class MultiPoly:
 
     def __mul__(self, other) -> MultiPoly:
         other = self._as_poly(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = _mono_mul(ma, mb)
-                merged = out.get(mono, Fraction(0)) + ca * cb
-                if merged:
-                    out[mono] = merged
-                elif mono in out:
-                    del out[mono]
-        return MultiPoly._raw(out)
+        return MultiPoly._raw(
+            _collect(
+                (_mono_mul(ma, mb), ca * cb)
+                for ma, ca in self._terms.items()
+                for mb, cb in other._terms.items()
+            )
+        )
 
     __rmul__ = __mul__
 
@@ -271,6 +243,7 @@ class MultiPoly:
         return result
 
     # -- calculus ------------------------------------------------------------
+    # diff and antiderivative keep distinct monomials distinct: no merging
 
     def diff(self, v: VarId, order: int = 1) -> MultiPoly:
         """Exact partial derivative with respect to v, iterated `order` times."""
@@ -278,21 +251,20 @@ class MultiPoly:
             raise ValueError("derivative order must be non-negative")
         p = self
         for _ in range(order):
-            out: dict[Monomial, Fraction] = {}
+            out: Terms = {}
             for mono, c in p._terms.items():
-                e = _mono_exponent(mono, v)
-                if e == 0:
-                    continue
-                out[_mono_with(mono, v, e - 1)] = c * e
+                e, rest = _split(mono, v)
+                if e:
+                    out[_mono_mul(rest, ((v, e - 1),)) if e > 1 else rest] = c * e
             p = MultiPoly._raw(out)
         return p
 
     def antiderivative(self, v: VarId) -> MultiPoly:
         """Antiderivative in v with zero constant of integration."""
-        out: dict[Monomial, Fraction] = {}
+        out: Terms = {}
         for mono, c in self._terms.items():
-            e = _mono_exponent(mono, v)
-            out[_mono_with(mono, v, e + 1)] = c / (e + 1)
+            e, rest = _split(mono, v)
+            out[_mono_mul(rest, ((v, e + 1),))] = c / (e + 1)
         return MultiPoly._raw(out)
 
     def integrate(self, v: VarId, lower, upper) -> MultiPoly:
@@ -320,12 +292,14 @@ class MultiPoly:
         powers = [MultiPoly.one()]
         for _ in range(max_e):
             powers.append(powers[-1] * replacement)
-        result = MultiPoly.zero()
-        for mono, c in self._terms.items():
-            e = _mono_exponent(mono, v)
-            rest = MultiPoly._raw({_mono_without(mono, v): c})
-            result = result + (rest if e == 0 else rest * powers[e])
-        return result
+        return MultiPoly._raw(
+            _collect(
+                (_mono_mul(rest, pm), c * pc)
+                for mono, c in self._terms.items()
+                for e, rest in (_split(mono, v),)
+                for pm, pc in powers[e]._terms.items()
+            )
+        )
 
     def eval(self, assignment: Mapping[VarId, CoeffLike]) -> Fraction:
         """Exact value at a rational point covering every variable."""

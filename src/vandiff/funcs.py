@@ -105,9 +105,15 @@ class Exponential(AnalyticFunction):
         return Exponential(self.rate, self.amplitude * self.rate**k)
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return self.amplitude * np.exp(self.rate * x)
-        return self.amplitude * math.exp(self.rate * float(x))
+        # errstate is per thread, so it is set here, where cubature
+        # workers evaluate the array
+        try:
+            if isinstance(x, np.ndarray):
+                with np.errstate(over="raise"):
+                    return self.amplitude * np.exp(self.rate * x)
+            return self.amplitude * math.exp(self.rate * float(x))
+        except (OverflowError, FloatingPointError):
+            raise OverflowError(f"{self.describe()} overflows the float range") from None
 
     def describe(self) -> str:
         base = f"exp:{_num(self.rate)}"
@@ -201,6 +207,6 @@ def parse_function(text: str) -> AnalyticFunction:
             return Sine(float(Fraction(parts[0])), float(Fraction(parts[1])))
         if head == "recip":
             return Reciprocal(float(Fraction(rest.strip())))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse function {text!r}: {exc}") from exc
     raise ValueError(f"unknown function family {head!r} (poly, exp, sin, recip)")

@@ -111,9 +111,11 @@ def parse_points(text: str, exact: bool = False) -> PointSequence:
     for tok in tokens:
         try:
             value = Fraction(tok)
+            values.append(value if exact else float(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse coordinate {tok!r}") from exc
-        values.append(value if exact else float(value))
+        except OverflowError as exc:
+            raise ValueError(f"coordinate {tok!r} is beyond float range") from exc
     return PointSequence(tuple(values))
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .funcs import AnalyticFunction, PoleError
 from .points import PointSequence, SequentialRectangle, sum_bounds
+from .symfun import vandermonde_product
 
 MAX_ORDER = 64
 MAX_DIMENSION = 8
@@ -153,9 +154,9 @@ def integral_side(
     """Integral side of the main identity: the pairwise-difference product
     times the n-th derivative of f at the coordinate sum, over R(x).
 
-    The difference product is evaluated as a running product of the
-    n(n-1)/2 pairwise differences at each node, not via the expanded
-    polynomial.
+    The difference product is evaluated at each node by
+    `vandermonde_product`, a running product of the n(n-1)/2 pairwise
+    differences, not via the expanded polynomial.
     """
     n = x.n
     if n > MAX_DIMENSION:
@@ -174,11 +175,7 @@ def integral_side(
         s = ts[0]
         for t in ts[1:]:
             s = s + t
-        v = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = v * (ts[j] - ts[i])
-        return v * fn(s)
+        return vandermonde_product(ts) * fn(s)
 
     return integrate_over_rectangle(
         SequentialRectangle(xf), integrand, order, workers=workers, budget=budget

@@ -93,8 +93,8 @@ def vandermonde_product(values: Sequence) -> Union[Fraction, float]:
     acc = None
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
-            d = values[j] - values[i]
-            acc = d if acc is None else acc * d
+            # an unnamed difference lets numpy multiply into it in place
+            acc = values[j] - values[i] if acc is None else acc * (values[j] - values[i])
     if acc is None:
         return Fraction(1) if values and isinstance(values[0], Fraction) else 1.0
     return acc

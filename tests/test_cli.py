@@ -55,6 +55,14 @@ def test_divdiff_constant_vanishes():
     assert rec["value"] == 0.0
 
 
+def test_exp_overflow_names_the_function():
+    # a child process, so numpy's warning text would reach stderr here
+    proc = run_cli("integral", "--x", "0,1,2", "--function", "exp:800")
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert "exp:800" in line
+
+
 def test_divdiff_via_integral_route():
     proc = run_cli(
         "divdiff", "--points", "1,2,3", "--function", "poly:0,0,1", "--via-integral"

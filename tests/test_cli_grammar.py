@@ -184,3 +184,25 @@ def test_edge_input_exits_2_with_empty_stdout(argv, env):
     assert code == 2
     assert out == ""
     assert "error" in err and "Traceback" not in err
+
+
+# inputs beyond float range, each with the text its message must name
+OVERFLOW_INPUTS = [
+    (["divdiff", "--points=1,2,1e400", "--function=exp:1"], "'1e400'"),
+    (["divdiff", "--points=1,2,3", "--function=exp:800"], "exp:800"),
+    (["divdiff", "--points=1,2,3", "--function=exp:1e400"], "exp:1e400"),
+    (["theorem1", "--x=0,1,2", "--function=exp:800"], "exp:800"),
+    (["theorem1", "--x=0,1,2", "--function=exp:800", "--workers=2"], "exp:800"),
+    (["integral", "--x=0,1,2", "--function=exp:800"], "exp:800"),
+    (["integral", "--x=0,1,2", "--function=exp:800", "--format=csv"], "exp:800"),
+    (["integral", "--x=0,1,2", "--function=exp:800", "--format=text"], "exp:800"),
+    (["integral", "--x=0,1,2", "--function=exp:800", "--workers=2"], "exp:800"),
+]
+
+
+@pytest.mark.parametrize("argv, token", OVERFLOW_INPUTS)
+def test_overflow_message_is_one_line_naming_the_input(argv, token):
+    code, out, err = run_main(argv, {})
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and token in line

@@ -161,11 +161,11 @@ coeffs = st.fractions(
 
 
 @st.composite
-def polys(draw, max_terms=5, max_exp=3):
+def polys(draw, max_terms=5, max_exp=3, variables=VARS):
     p = MultiPoly.zero()
     for _ in range(draw(st.integers(0, max_terms))):
         mono = MultiPoly.one()
-        for v in VARS:
+        for v in variables:
             e = draw(st.integers(0, max_exp))
             if e:
                 mono = mono * tp(v) ** e
@@ -197,6 +197,46 @@ def test_eval_commutes_with_substitution(p, r):
     base = {T1: Fraction(2, 3), T3: Fraction(-1, 4)}
     substituted = p.substitute(T2, MultiPoly.const(r))
     assert substituted.eval(base) == p.eval({**base, T2: r})
+
+
+# replacements and bounds for T2: polynomials free of T2
+free_of_t2 = polys(max_terms=3, max_exp=2, variables=[T1, T3, X1])
+
+
+@given(polys(), free_of_t2, st.lists(coeffs, min_size=3, max_size=3))
+def test_eval_commutes_with_polynomial_substitution(p, q, vals):
+    point = dict(zip([T1, T3, X1], vals))
+    assert p.substitute(T2, q).eval(point) == p.eval({**point, T2: q.eval(point)})
+
+
+def assert_canonical(p):
+    # the stored form the is_zero proofs rely on: no zero coefficient, and
+    # every monomial sorted by variable with positive exponents
+    for mono, c in p.terms().items():
+        assert isinstance(c, Fraction) and c != 0
+        assert all(e > 0 for _, e in mono)
+        assert all(a < b for (a, _), (b, _) in zip(mono, mono[1:]))
+
+
+@given(polys(), polys(), free_of_t2, free_of_t2)
+def test_every_operation_keeps_the_canonical_form(a, b, q, r):
+    for p in (
+        a + b,
+        a - b,
+        a - a,
+        a * b,
+        a.diff(T2),
+        a.diff(T2, 2),
+        a.antiderivative(T2),
+        a.substitute(T2, q),
+        a.integrate(T2, q, r),
+    ):
+        assert_canonical(p)
+
+
+def test_substitution_that_cancels_leaves_no_terms():
+    p = (tp(T1) * tp(X1) - tp(T2) * tp(X1)).substitute(T1, tp(T2))
+    assert p.is_zero and p.terms() == {} and p == 0
 
 
 # -- rendering --------------------------------------------------------------------
