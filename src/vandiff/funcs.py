@@ -71,15 +71,20 @@ class Polynomial(AnalyticFunction):
         return Polynomial(cs)
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            acc = np.zeros_like(x, dtype=float)
+        if isinstance(x, (int, Fraction)):
+            acc = Fraction(0)
             for c in reversed(self.coeffs):
-                acc = acc * x + float(c)
+                acc = acc * x + c
             return acc
-        exact = isinstance(x, (int, Fraction))
-        acc = Fraction(0) if exact else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if exact else float(c))
+        try:
+            cs = [float(c) for c in reversed(self.coeffs)]
+        except OverflowError:
+            raise OverflowError(
+                f"{self.describe()} has a coefficient beyond float range"
+            ) from None
+        acc = np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0
+        for c in cs:
+            acc = acc * x + c
         return acc
 
     def compose(self, inner: MultiPoly) -> MultiPoly:
@@ -102,7 +107,7 @@ class Exponential(AnalyticFunction):
 
     def derivative(self, k: int = 1) -> "Exponential":
         _check_order(k)
-        return Exponential(self.rate, self.amplitude * self.rate**k)
+        return Exponential(self.rate, self.amplitude * _derivative_factor(self, self.rate, k))
 
     def __call__(self, x):
         # errstate is per thread, so it is set here, where cubature
@@ -133,7 +138,7 @@ class Sine(AnalyticFunction):
         return Sine(
             self.frequency,
             self.phase + k * (math.pi / 2),
-            self.amplitude * self.frequency**k,
+            self.amplitude * _derivative_factor(self, self.frequency, k),
         )
 
     def __call__(self, x):
@@ -168,7 +173,10 @@ class Reciprocal(AnalyticFunction):
             base = x - self.shift
             if np.any(base == 0.0):
                 raise PoleError(f"evaluation at the pole {self.shift}")
-            return self.scale * base ** (-self.power)
+            # numpy's pow is some 30x slower on negative bases, so this
+            # raises |base| and puts the sign back for odd powers
+            mag = np.abs(base) ** (-self.power)
+            return self.scale * (np.copysign(mag, base) if self.power % 2 else mag)
         base = float(x) - self.shift
         if base == 0.0:
             raise PoleError(f"evaluation at the pole {self.shift}")
@@ -184,8 +192,20 @@ class Reciprocal(AnalyticFunction):
         return base
 
 
+def _derivative_factor(f: AnalyticFunction, base: float, k: int) -> float:
+    """base**k, the factor the k-th derivative of f gains, or a named error."""
+    try:
+        return base**k
+    except OverflowError:
+        raise OverflowError(
+            f"derivative {k} of {f.describe()} overflows the float range"
+        ) from None
+
+
 def _num(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    # repr turns to exponent form at 1e16, where int() would print every digit
+    v = float(v)
+    return str(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
 
 
 def parse_function(text: str) -> AnalyticFunction:

@@ -2,16 +2,18 @@
 
 Non-adaptive by design: the integrands are smooth on a box, the rule
 converges spectrally, and a fixed rule keeps output bit-reproducible.
-The node grid is traversed in lexicographic (C) order in fixed-size
-contiguous chunks; each chunk is reduced with numpy's deterministic
-pairwise sum and the chunk totals are combined with math.fsum, so the
-result is identical for any worker count.  An evaluation budget guards
-against infeasible order/dimension combinations instead of silently
-truncating.
+The node grid is cut into slabs, one per node of the leading axes; the
+trailing axes of a slab reach the integrand as broadcast views, so no
+node coordinate is gathered or copied.  Each slab is reduced with numpy's
+deterministic pairwise sum and the slab totals are combined with
+math.fsum, so the result is identical for any worker count.  An
+evaluation budget guards against infeasible order/dimension combinations
+instead of silently truncating.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ MAX_ORDER = 64
 MAX_DIMENSION = 8
 DEFAULT_BUDGET = 10**8
 _NEWTON_TOL = 1e-15
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # most nodes in one slab, which bounds an integrand call's memory
 
 
 class BudgetExceededError(RuntimeError):
@@ -101,8 +103,14 @@ def integrate_over_rectangle(
 ) -> CubatureResult:
     """Tensor-product rule over the rectangle, deterministic for any workers.
 
-    The integrand is called with one numpy array per axis (vectorized over
-    grid chunks) and must broadcast elementwise.
+    The grid is integrated one slab at a time.  The trailing m axes, m the
+    largest with order**m <= _CHUNK, span a slab; the k = n - m leading
+    axes pick it.  The integrand is called once per slab with one argument
+    per axis: a float for each leading axis, then for trailing axis j a
+    broadcast view of its nodes with shape (1,)*j + (order,) + (1,)*(m-1-j).
+    Its result must broadcast to the slab's grid (order,)*m, so a lower-rank
+    value, such as a plain function of one axis, is allowed.  A numpy
+    overflow in the integrand or in a slab's sum raises FloatingPointError.
     """
     rule = gauss_legendre(order)
     intervals = rect.intervals
@@ -121,25 +129,36 @@ def integrate_over_rectangle(
         half = 0.5 * (b - a)
         axis_nodes.append(0.5 * (a + b) + half * base_nodes)
         axis_weights.append(half * base_weights)
-    shape = (order,) * n
+    m = n
+    while order**m > _CHUNK:
+        m -= 1
+    k = n - m
+    lead_nodes = [a.tolist() for a in axis_nodes[:k]]
+    lead_weights = [w.tolist() for w in axis_weights[:k]]
 
-    def chunk_sum(start: int) -> float:
-        idx = np.arange(start, min(start + _CHUNK, total))
-        multi = np.unravel_index(idx, shape)  # lexicographic grid order
-        coords = [axis_nodes[i][multi[i]] for i in range(n)]
-        w = axis_weights[0][multi[0]]
-        for i in range(1, n):
-            w = w * axis_weights[i][multi[i]]
-        return float(np.sum(w * integrand(*coords)))
+    def view(axis: int) -> tuple[int, ...]:
+        return (1,) * (axis - k) + (order,) + (1,) * (n - 1 - axis)
 
-    starts = range(0, total, _CHUNK)
+    trailing = [axis_nodes[i].reshape(view(i)) for i in range(k, n)]
+    slab_weights = axis_weights[k].reshape(view(k))
+    for i in range(k + 1, n):
+        slab_weights = slab_weights * axis_weights[i].reshape(view(i))
+
+    def slab_sum(index: tuple[int, ...]) -> float:
+        lead = [lead_nodes[i][j] for i, j in enumerate(index)]
+        w = math.prod(lead_weights[i][j] for i, j in enumerate(index))
+        # errstate is per thread, so it is set in the thread that sums the slab
+        with np.errstate(over="raise"):
+            return w * float(np.sum(slab_weights * integrand(*lead, *trailing)))
+
+    slabs = itertools.product(range(order), repeat=k)  # lexicographic order
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_sum, starts))
+            partials = list(pool.map(slab_sum, slabs))
     else:
-        partials = [chunk_sum(s) for s in starts]
-    # fsum is exactly rounded, so combining fixed chunk totals cannot
-    # depend on how chunks were assigned to workers
+        partials = [slab_sum(s) for s in slabs]
+    # fsum is exactly rounded, so combining fixed slab totals cannot
+    # depend on how slabs were assigned to workers
     return CubatureResult(math.fsum(partials), total)
 
 
@@ -177,6 +196,11 @@ def integral_side(
             s = s + t
         return vandermonde_product(ts) * fn(s)
 
-    return integrate_over_rectangle(
-        SequentialRectangle(xf), integrand, order, workers=workers, budget=budget
-    )
+    try:
+        return integrate_over_rectangle(
+            SequentialRectangle(xf), integrand, order, workers=workers, budget=budget
+        )
+    except FloatingPointError:
+        raise OverflowError(
+            f"the integrand for {f.describe()} overflows the float range"
+        ) from None

@@ -44,7 +44,9 @@ FUNCTIONS = st.one_of(
             "exp:-2",
             "exp:800",
             "exp:1e400",
+            "exp:1e200",
             "sin:1",
+            "sin:1e200",
             "sin:3.14159265358979,0",
             "sin:1,2,3",
             "recip:10",
@@ -197,6 +199,15 @@ OVERFLOW_INPUTS = [
     (["integral", "--x=0,1,2", "--function=exp:800", "--format=csv"], "exp:800"),
     (["integral", "--x=0,1,2", "--function=exp:800", "--format=text"], "exp:800"),
     (["integral", "--x=0,1,2", "--function=exp:800", "--workers=2"], "exp:800"),
+    (["theorem1", "--x=0,1,2", "--function=exp:1e200"], "exp:1e+200"),
+    (["theorem1", "--x=0,1,2", "--function=sin:1e200"], "sin:1e+200"),
+    pytest.param(
+        ["theorem1", "--x=0,1,2", "--function=poly:1e400"],
+        f"poly:{10**400}",
+        id="argv11-poly:1e400",
+    ),
+    (["theorem1", "--x=0,1,2,3", "--function=sin:5e102"], "sin:5e+102"),
+    (["integral", "--x=0,1,2,3", "--function=sin:5e102", "--workers=2"], "sin:5e+102"),
 ]
 
 

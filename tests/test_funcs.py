@@ -106,6 +106,19 @@ def test_reciprocal_pole_raises():
         f(np.array([0.0, 1.5]))
 
 
+@pytest.mark.parametrize("power", range(1, 10))
+def test_reciprocal_array_path_matches_scalar_path(power):
+    # the array path raises |base| and restores the sign, the scalar path
+    # divides by base**power; both sides of the pole, up to power 9 (n = 8)
+    f = Reciprocal(10.0).derivative(power - 1)
+    assert f.power == power
+    rng = np.random.default_rng(power)
+    xs = np.concatenate([rng.uniform(-2.0, 9.0, 500), rng.uniform(11.0, 40.0, 500)])
+    got = f(xs)
+    want = np.array([f(float(x)) for x in xs])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
 def test_poles_absent_for_entire_families():
     assert Polynomial((1, 2)).pole() is None
     assert Exponential(1.0).pole() is None
@@ -183,8 +196,18 @@ def test_parse_errors():
 
 @pytest.mark.parametrize(
     "text",
-    ["poly:0,0,1", "poly:1/2,-3", "exp:1", "exp:-0.25", "sin:2,0", "sin:1.5,0.5", "recip:10"],
+    [
+        "poly:0,0,1",
+        "poly:1/2,-3",
+        "exp:1",
+        "exp:-0.25",
+        "exp:1e+200",
+        "sin:2,0",
+        "sin:1.5,0.5",
+        "recip:10",
+    ],
 )
 def test_describe_round_trips(text):
     f = parse_function(text)
+    assert f.describe() == text
     assert parse_function(f.describe()) == f

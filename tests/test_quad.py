@@ -1,11 +1,13 @@
 """Gauss-Legendre rules and deterministic tensor-product cubature."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vandiff import quad
 from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal
 from vandiff.points import PointSequence, SequentialRectangle
 from vandiff.quad import (
@@ -128,16 +130,93 @@ def test_budget_guard():
 
 
 def test_worker_count_does_not_change_the_bits():
-    # 20^4 = 160000 nodes spans several reduction chunks
-    box = SequentialRectangle(PointSequence.floating([0.0, 0.7, 1.1, 2.0, 2.4]))
+    # order 20 puts 20^3 nodes in a slab: 20 slabs in 4-D, 400 in 5-D
+    cases = [
+        (
+            [0.0, 0.7, 1.1, 2.0, 2.4],
+            lambda t1, t2, t3, t4: np.exp(0.3 * (t1 + t2 + t3 + t4)) * (t4 - t1),
+        ),
+        (
+            [-1.0, -0.2, 0.5, 0.9, 1.6, 2.1],
+            lambda *t: np.sin(t[0] + 2 * t[2] - t[4]) * (t[3] - t[1]),
+        ),
+    ]
+    for xs, integrand in cases:
+        box = SequentialRectangle(PointSequence.floating(xs))
+        single = integrate_over_rectangle(box, integrand, 20, workers=1)
+        for workers in (2, 4, 7):
+            multi = integrate_over_rectangle(box, integrand, 20, workers=workers)
+            assert multi.value == single.value  # bitwise, not approx
 
-    def integrand(t1, t2, t3, t4):
-        return np.exp(0.3 * (t1 + t2 + t3 + t4)) * (t4 - t1)
 
-    single = integrate_over_rectangle(box, integrand, 20, workers=1)
-    for workers in (2, 4, 7):
-        multi = integrate_over_rectangle(box, integrand, 20, workers=workers)
-        assert multi.value == single.value  # bitwise, not approx
+def reference_cubature(rect, integrand, order):
+    """The plain tensor-product rule, one node at a time."""
+    rule = gauss_legendre(order)
+    axes = []
+    for a, b in rect.intervals:
+        half = 0.5 * (b - a)
+        axes.append(
+            [(0.5 * (a + b) + half * z, half * w) for z, w in zip(rule.nodes, rule.weights)]
+        )
+    terms = []
+    for node in itertools.product(*axes):
+        weight = math.prod(w for _, w in node)
+        terms.append(weight * float(integrand(*(t for t, _ in node))))
+    return math.fsum(terms)
+
+
+# (n, order, slab size bound, k leading axes): the integrand is called
+# order**k times; a small bound reaches k = 2 on a grid the reference can walk
+SLAB_CASES = [
+    (1, 9, quad._CHUNK, 0),
+    (2, 20, quad._CHUNK, 0),
+    (3, 41, quad._CHUNK, 1),
+    (3, 4, 16, 1),
+    (4, 3, 9, 2),
+    (5, 3, 27, 2),
+    (6, 2, 16, 2),
+    (6, 3, 81, 2),
+]
+
+INTEGRANDS = {
+    "full": lambda *t: np.exp(0.3 * sum(t)) * (t[-1] - t[0] + 2.0),
+    "last axis only": lambda *t: np.cos(t[-1]),
+    "first axis only": lambda *t: 1.0 + t[0] ** 2,
+    "constant": lambda *t: 2.5,
+}
+
+
+@pytest.mark.parametrize("name", INTEGRANDS)
+@pytest.mark.parametrize("n, order, chunk, k", SLAB_CASES)
+def test_slabs_match_the_plain_tensor_rule(monkeypatch, n, order, chunk, k, name):
+    monkeypatch.setattr(quad, "_CHUNK", chunk)
+    box = rect(*[-0.8 + 0.35 * i + 0.05 * i * i for i in range(n + 1)])
+    integrand = INTEGRANDS[name]
+    calls = []
+
+    def counted(*t):
+        calls.append(len(t))
+        return integrand(*t)
+
+    got = integrate_over_rectangle(box, counted, order)
+    assert len(calls) == order**k and set(calls) == {n}
+    want = reference_cubature(box, integrand, order)
+    assert got.value == pytest.approx(want, rel=1e-14)
+    assert got.function_evaluations == order**n
+
+
+def test_no_call_sees_more_than_one_chunk():
+    sizes = []
+
+    def spy(*t):
+        sizes.append(math.prod(np.broadcast_shapes(*(np.shape(a) for a in t))))
+        return 0.0
+
+    for n in range(1, MAX_DIMENSION + 1):
+        sizes.clear()
+        integrate_over_rectangle(rect(*range(n + 1)), spy, 10)
+        assert max(sizes) <= quad._CHUNK
+        assert sum(sizes) == 10**n  # the slabs tile the grid
 
 
 # -- the integral side of the identity --------------------------------------------
