@@ -6,7 +6,7 @@ table, reciprocal-product sum, weighted multiple integral) and certifies
 the algebra behind their agreement with exact rational arithmetic.
 """
 
-from .exact import MissingVariableError, MultiPoly, Rational, VarId, var_family
+from .exact import MissingVariableError, MultiPoly, VarId, var_family
 from .symfun import (
     DEFAULT_SYMBOLIC_LIMIT,
     MixedSum,
@@ -22,12 +22,9 @@ from .symfun import (
 )
 from .points import (
     PointSequence,
-    SequentialRectangle,
-    TransformMatrix,
     monotone_vertices,
     parse_points,
     sum_bounds,
-    transform_matrix,
     x_from_y,
     y_from_x,
 )
@@ -42,7 +39,6 @@ from .funcs import (
 )
 from .divdiff import (
     ConditioningWarning,
-    DividedDifferenceTable,
     build_table,
     divided_difference,
     divided_difference_side,
@@ -81,7 +77,6 @@ __all__ = [
     "ConditioningWarning",
     "CubatureResult",
     "DEFAULT_SYMBOLIC_LIMIT",
-    "DividedDifferenceTable",
     "Exponential",
     "IdentityReport",
     "LEMMA_GROUPS",
@@ -94,12 +89,9 @@ __all__ = [
     "Polynomial",
     "PureSum",
     "QuadratureRule",
-    "Rational",
     "Reciprocal",
-    "SequentialRectangle",
     "Sine",
     "SymbolicLimitError",
-    "TransformMatrix",
     "VarId",
     "apply_operator",
     "build_table",
@@ -128,7 +120,6 @@ __all__ = [
     "run_lemma_suite",
     "suite_passed",
     "sum_bounds",
-    "transform_matrix",
     "vandermonde_poly",
     "vandermonde_product",
     "var_family",

@@ -14,7 +14,6 @@ transformed points.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,19 +27,6 @@ CLUSTER_RATIO = 1e-6
 
 class ConditioningWarning(UserWarning):
     """Clustered points: expect precision loss in floating results."""
-
-
-@dataclass(frozen=True)
-class DividedDifferenceTable:
-    """Triangular table: layer k holds the order-k divided differences."""
-
-    points: tuple
-    layers: tuple[tuple, ...]
-
-    @property
-    def value(self):
-        """The top entry: the full-order divided difference."""
-        return self.layers[-1][0]
 
 
 def _check_distinct(values: Sequence) -> None:
@@ -60,8 +46,12 @@ def _warn_if_clustered(values: Sequence) -> None:
         )
 
 
-def build_table(values: Sequence, fvalues: Sequence) -> DividedDifferenceTable:
-    """The recursive table over arbitrary distinct points (any order)."""
+def build_table(values: Sequence, fvalues: Sequence) -> tuple[tuple, ...]:
+    """The recursive table over arbitrary distinct points (any order).
+
+    Returns its layers: layer k holds the order-k divided differences, so
+    the last layer holds only the full-order one.
+    """
     _check_distinct(values)
     if len(values) != len(fvalues):
         raise ValueError("points and values must have equal length")
@@ -73,7 +63,7 @@ def build_table(values: Sequence, fvalues: Sequence) -> DividedDifferenceTable:
         layers.append(
             tuple((prev[j + 1] - prev[j]) / (values[j + k] - values[j]) for j in range(m - k))
         )
-    return DividedDifferenceTable(tuple(values), tuple(layers))
+    return tuple(layers)
 
 
 def sum_form(values: Sequence, f: AnalyticFunction):
@@ -103,7 +93,7 @@ def _table_values(points: PointSequence, f: AnalyticFunction) -> tuple:
 def divided_difference(points: PointSequence, f: AnalyticFunction):
     """Divided difference of f at the points, via the recursive table."""
     values = _table_values(points, f)
-    return build_table(values, tuple(f(v) for v in values)).value
+    return build_table(values, tuple(f(v) for v in values))[-1][0]
 
 
 def divided_difference_sum_form(points: PointSequence, f: AnalyticFunction):

@@ -28,8 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
-Rational = Fraction
-
 CoeffLike = Union[int, Fraction]
 
 
@@ -44,9 +42,9 @@ class VarId(NamedTuple):
         return f"{self.family}{self.index}"
 
 
-def var_family(family: str, count: int, start: int = 1) -> list[VarId]:
-    """The variables family<start> .. family<start+count-1>, in index order."""
-    return [VarId(family, i) for i in range(start, start + count)]
+def var_family(family: str, count: int) -> list[VarId]:
+    """The variables family1 .. family<count>, in index order."""
+    return [VarId(family, i) for i in range(1, count + 1)]
 
 
 # Monomial: ((var, exp), ...) sorted by var, all exps > 0; () is the unit.

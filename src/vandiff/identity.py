@@ -21,18 +21,12 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .divdiff import divided_difference, divided_difference_side
 from .exact import MultiPoly, VarId, var_family
 from .funcs import AnalyticFunction, Polynomial
-from .points import (
-    PointSequence,
-    SequentialRectangle,
-    monotone_vertices,
-    x_from_y,
-    y_from_x,
-)
+from .points import PointSequence, monotone_vertices, x_from_y, y_from_x
 from .quad import DEFAULT_BUDGET, integral_side
 from .symfun import (
     MixedSum,
@@ -150,6 +144,14 @@ def _sum_poly(variables: Sequence[VarId]) -> MultiPoly:
     return total
 
 
+def _integrate_box(p: MultiPoly, tvars: Sequence[VarId], bounds) -> MultiPoly:
+    """Integrate p in tvars[i] between the bounds of axis i, first axis
+    first; bounds are (lower, upper) pairs of rationals or polynomials."""
+    for v, (a, b) in zip(tvars, bounds):
+        p = p.integrate(v, a, b)
+    return p
+
+
 def _require_exact_polynomial(f: AnalyticFunction) -> Polynomial:
     # Polynomial coerces its coefficients to Fraction on construction, so
     # the family check alone guarantees exactness
@@ -211,9 +213,7 @@ def exact_integral_value(x: PointSequence, f: Polynomial) -> Fraction:
     n = x.n
     tvars = var_family("t", n)
     value = vandermonde_poly(n, "t") * f.derivative(n).compose(_sum_poly(tvars))
-    for i, v in enumerate(tvars):
-        value = value.integrate(v, x[i], x[i + 1])
-    return value.as_constant()
+    return _integrate_box(value, tvars, x.intervals).as_constant()
 
 
 def check_identity_exact(
@@ -249,13 +249,11 @@ def check_volume_symbolic(n: int) -> IdentityReport:
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    tvars = var_family("t", n)
     xvars = var_family("x", n + 1)
-    value = vandermonde_poly(n, "t")
-    for i, v in enumerate(tvars):
-        value = value.integrate(
-            v, MultiPoly.variable(xvars[i]), MultiPoly.variable(xvars[i + 1])
-        )
+    xs = [MultiPoly.variable(v) for v in xvars]
+    value = _integrate_box(
+        vandermonde_poly(n, "t"), var_family("t", n), zip(xs, xs[1:])
+    )
     rhs = vandermonde_poly(n + 1, "x", limit=n + 1) * Fraction(
         1, math.factorial(n)
     )
@@ -324,22 +322,29 @@ def _has_zero_property(poly: MultiPoly, variables: Sequence[VarId]) -> bool:
     )
 
 
-def _alternating_vertex_sum(phi: MultiPoly, tvars, bounds) -> Fraction:
-    n = len(bounds)
+def _alternating_sum(phi: MultiPoly, tvars, signed_vertices) -> Fraction:
+    """Sum of phi over (lower_count, vertex) pairs, each term signed
+    (-1)^lower_count, the number of axes at their lower bound."""
     total = Fraction(0)
-    for eps, vertex in enumerate_vertices(bounds):
-        sign = -1 if (n - sum(eps)) % 2 else 1
+    for lower_count, vertex in signed_vertices:
+        sign = -1 if lower_count % 2 else 1
         total += sign * phi.eval(dict(zip(tvars, vertex)))
     return total
+
+
+def _full_vertex_sum(phi: MultiPoly, tvars, bounds) -> Fraction:
+    # flag 0 picks an axis's lower bound
+    n = len(bounds)
+    return _alternating_sum(
+        phi, tvars, ((n - sum(eps), v) for eps, v in enumerate_vertices(bounds))
+    )
 
 
 def _box_integral_of_mixed_derivative(phi: MultiPoly, tvars, bounds) -> Fraction:
     value = phi
     for v in tvars:
         value = value.diff(v)
-    for v, (a, b) in zip(tvars, bounds):
-        value = value.integrate(v, a, b)
-    return value.as_constant()
+    return _integrate_box(value, tvars, bounds).as_constant()
 
 
 def check_vertex_sum(
@@ -350,7 +355,7 @@ def check_vertex_sum(
     n = len(bounds)
     tvars = var_family("t", n)
     lhs = _box_integral_of_mixed_derivative(phi, tvars, bounds)
-    rhs = _alternating_vertex_sum(phi, tvars, bounds)
+    rhs = _full_vertex_sum(phi, tvars, bounds)
     return _exact_report(
         "mixed-derivative-vertex-sum",
         n,
@@ -377,13 +382,12 @@ def check_reduced_vertex_sum(
     tvars = var_family("t", n)
     phi = vandermonde_poly(n, "t") * g
     zero_property = _has_zero_property(phi, tvars)
-    bounds = SequentialRectangle(x).intervals
-    lhs = _box_integral_of_mixed_derivative(phi, tvars, bounds)
-    full = _alternating_vertex_sum(phi, tvars, bounds)
-    reduced = Fraction(0)
-    for i, vertex in enumerate(monotone_vertices(x), start=1):
-        sign = -1 if (n + 1 - i) % 2 else 1
-        reduced += sign * phi.eval(dict(zip(tvars, vertex)))
+    lhs = _box_integral_of_mixed_derivative(phi, tvars, x.intervals)
+    full = _full_vertex_sum(phi, tvars, x.intervals)
+    # monotone vertex i (0-based) takes the lower bound on its first n - i axes
+    reduced = _alternating_sum(
+        phi, tvars, zip(range(n, -1, -1), monotone_vertices(x))
+    )
     report = _exact_report(
         "reduced-vertex-sum",
         n,
@@ -508,6 +512,16 @@ def floating_suite_points(
 # -- lemma suite ----------------------------------------------------------------
 
 
+def _first_failure(pairs: Iterable[tuple]) -> tuple:
+    """The witness of a check over several (lhs, rhs) pairs: the first pair
+    that differs, or the last pair when all agree.  Draws no pair after the
+    first failure; needs at least one pair."""
+    for lhs, rhs in pairs:
+        if lhs != rhs:
+            break
+    return lhs, rhs
+
+
 def _suite_esym(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
     # d/da e_k(a - t_1, ..., a - t_m) = (m - k + 1) e_{k-1}(same args)
     a = VarId("a", 1)
@@ -545,36 +559,32 @@ def _suite_pure_derivative(
     # reciprocals 1/(t_i - t_j), checked at random distinct rational points
     for n in range(2, n_max + 1):
         tvars = var_family("t", n)
-        v_poly = vandermonde_poly(n, "t", limit=max(n, 1))
+        v_poly = vandermonde_poly(n, "t", limit=n)
         rng = _group_rng(seed, "pure-derivative", n)
         for k in range(1, n):
             derivs = [v_poly.diff(t, k) for t in tvars]
-            witness = (Fraction(0), Fraction(0))
-            for _ in range(cases):
-                vals = random_increasing_rationals(rng, n, max_abs=30).values
-                assignment = dict(zip(tvars, vals))
-                v_val = v_poly.eval(assignment)
-                for i in range(n):
-                    recips = [
-                        MultiPoly.const(Fraction(1, 1) / (vals[i] - vals[j]))
-                        for j in range(n)
-                        if j != i
-                    ]
-                    lhs = derivs[i].eval(assignment)
-                    rhs = (
-                        math.factorial(k)
-                        * v_val
-                        * elementary_symmetric(k, recips).as_constant()
-                    )
-                    witness = (lhs, rhs)
-                    if lhs != rhs:
-                        break
-                if witness[0] != witness[1]:
-                    break
+
+            def samples():
+                for _ in range(cases):
+                    vals = random_increasing_rationals(rng, n, max_abs=30).values
+                    assignment = dict(zip(tvars, vals))
+                    v_val = v_poly.eval(assignment)
+                    for i in range(n):
+                        recips = [
+                            MultiPoly.const(Fraction(1, 1) / (vals[i] - vals[j]))
+                            for j in range(n)
+                            if j != i
+                        ]
+                        yield derivs[i].eval(assignment), (
+                            math.factorial(k)
+                            * v_val
+                            * elementary_symmetric(k, recips).as_constant()
+                        )
+
             yield _exact_report(
                 f"pure-derivative[n={n},k={k}]",
                 n,
-                *witness,
+                *_first_failure(samples()),
                 seed=seed,
                 config={"samples": cases},
             )
@@ -584,15 +594,10 @@ def _suite_pure_vanish(n_max: int, seed: int, cases: int) -> Iterator[IdentityRe
     # the n-th pure derivative of V in any single variable is zero
     for n in range(1, n_max + 1):
         tvars = var_family("t", n)
-        v_poly = vandermonde_poly(n, "t", limit=max(n, 1))
-        worst = MultiPoly.zero()
-        for t in tvars:
-            out = v_poly.diff(t, n)
-            if not out.is_zero:
-                worst = out
-                break
+        v_poly = vandermonde_poly(n, "t", limit=n)
+        pairs = ((v_poly.diff(t, n), MultiPoly.zero()) for t in tvars)
         yield _exact_report(
-            f"pure-vanish[n={n}]", n, worst, MultiPoly.zero(), seed=seed
+            f"pure-vanish[n={n}]", n, *_first_failure(pairs), seed=seed
         )
 
 
@@ -602,7 +607,7 @@ def _suite_operator_vanish(
     make = PureSum if group == "power-sum-vanish" else MixedSum
     for n in range(1, n_max + 1):
         tvars = var_family("t", n)
-        v_poly = vandermonde_poly(n, "t", limit=max(n, 1))
+        v_poly = vandermonde_poly(n, "t", limit=n)
         for k in range(1, n + 1):
             out = apply_operator(make(k), v_poly, tvars)
             yield _exact_report(
@@ -617,30 +622,31 @@ def _suite_newton(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]
         tvars = var_family("t", n)
         rng = _group_rng(seed, "newton", n)
         for k in range(1, n + 1):
-            witness = (MultiPoly.zero(), MultiPoly.zero())
-            for _ in range(cases):
-                p = random_poly(rng, tvars)
-                lhs = k * apply_operator(MixedSum(k), p, tvars)
-                rhs = MultiPoly.zero()
-                for i in range(1, k):
-                    term = apply_operator(PureSum(i), p, tvars)
-                    if k - i >= 1:
+
+            def samples():
+                for _ in range(cases):
+                    p = random_poly(rng, tvars)
+                    lhs = k * apply_operator(MixedSum(k), p, tvars)
+                    rhs = MultiPoly.zero()
+                    for i in range(1, k):
+                        term = apply_operator(PureSum(i), p, tvars)
                         term = apply_operator(MixedSum(k - i), term, tvars)
-                    rhs = rhs + (-1) ** (i - 1) * term
-                rhs = rhs + (-1) ** (k - 1) * apply_operator(PureSum(k), p, tvars)
-                witness = (lhs, rhs)
-                if lhs != rhs:
-                    break
+                        rhs = rhs + (-1) ** (i - 1) * term
+                    rhs = rhs + (-1) ** (k - 1) * apply_operator(PureSum(k), p, tvars)
+                    yield lhs, rhs
+
             yield _exact_report(
                 f"newton[n={n},k={k}]",
                 n,
-                *witness,
+                *_first_failure(samples()),
                 seed=seed,
                 config={"samples": cases},
             )
 
 
 def _suite_chain_rule(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
+    # not a _sampled group: its closing vandermonde case draws from the
+    # same stream as the random cases
     for n in range(1, min(n_max, 4) + 1):
         tvars = var_family("t", n)
         rng = _group_rng(seed, "chain-rule", n)
@@ -650,34 +656,31 @@ def _suite_chain_rule(n_max: int, seed: int, cases: int) -> Iterator[IdentityRep
             report = check_chain_rule(n, psi, f, seed=seed)
             yield replace(report, name=f"chain-rule[n={n},case={j}]")
         f = random_polynomial_function(rng, n + 1)
-        report = check_chain_rule(
-            n, vandermonde_poly(n, "t", limit=max(n, 1)), f, seed=seed
-        )
+        report = check_chain_rule(n, vandermonde_poly(n, "t", limit=n), f, seed=seed)
         yield replace(report, name=f"chain-rule[n={n},case=vandermonde]")
 
 
-def _suite_vertex_sum(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
-    for n in range(1, min(n_max, 4) + 1):
-        tvars = var_family("t", n)
-        rng = _group_rng(seed, "vertex-sum", n)
-        for j in range(cases):
-            bounds = _random_bounds(rng, n)
-            phi = random_poly(rng, tvars)
-            report = check_vertex_sum(bounds, phi, seed=seed)
-            yield replace(report, name=f"vertex-sum[n={n},case={j}]")
-
-
-def _suite_reduced_vertex_sum(
-    n_max: int, seed: int, cases: int
+def _sampled(
+    group: str, n_max: int, seed: int, cases: int, check
 ) -> Iterator[IdentityReport]:
+    """Reports group[n=..,case=j] for n = 1..min(n_max, 4), j < cases; each
+    is check(rng, tvars, seed) on a case drawn from the group's n stream."""
     for n in range(1, min(n_max, 4) + 1):
         tvars = var_family("t", n)
-        rng = _group_rng(seed, "reduced-vertex-sum", n)
+        rng = _group_rng(seed, group, n)
         for j in range(cases):
-            x = random_increasing_rationals(rng, n + 1, max_abs=20)
-            g = random_poly(rng, tvars)
-            report = check_reduced_vertex_sum(x, g, seed=seed)
-            yield replace(report, name=f"reduced-vertex-sum[n={n},case={j}]")
+            report = check(rng, tvars, seed)
+            yield replace(report, name=f"{group}[n={n},case={j}]")
+
+
+def _vertex_sum_case(rng: random.Random, tvars, seed: int) -> IdentityReport:
+    bounds = _random_bounds(rng, len(tvars))
+    return check_vertex_sum(bounds, random_poly(rng, tvars), seed=seed)
+
+
+def _reduced_vertex_sum_case(rng: random.Random, tvars, seed: int) -> IdentityReport:
+    x = random_increasing_rationals(rng, len(tvars) + 1, max_abs=20)
+    return check_reduced_vertex_sum(x, random_poly(rng, tvars), seed=seed)
 
 
 # group name -> suite(n_max, seed, cases), in report order
@@ -690,8 +693,10 @@ _LEMMA_SUITES = {
     "mixed-sum-vanish": partial(_suite_operator_vanish, "mixed-sum-vanish"),
     "newton": _suite_newton,
     "chain-rule": _suite_chain_rule,
-    "vertex-sum": _suite_vertex_sum,
-    "reduced-vertex-sum": _suite_reduced_vertex_sum,
+    "vertex-sum": partial(_sampled, "vertex-sum", check=_vertex_sum_case),
+    "reduced-vertex-sum": partial(
+        _sampled, "reduced-vertex-sum", check=_reduced_vertex_sum_case
+    ),
 }
 LEMMA_GROUPS = tuple(_LEMMA_SUITES)
 
@@ -707,8 +712,12 @@ def run_lemma_suite(
 
     Each group draws from its own seeded stream, so restricting to a
     subset of groups reproduces exactly the cases the full run would have
-    generated for them.
+    generated for them.  n_max and cases must be at least 1: with fewer,
+    a group would check nothing and still pass.
     """
+    for name, value in (("n_max", n_max), ("cases", cases)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     chosen = LEMMA_GROUPS if groups is None else tuple(groups)
     unknown = [g for g in chosen if g not in LEMMA_GROUPS]
     if unknown:

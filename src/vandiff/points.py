@@ -1,7 +1,8 @@
 """Strictly increasing point sequences and the sum-complement transform.
 
 A sequence x = (x_1, ..., x_{n+1}) determines the sequential rectangle
-R(x) = [x_1,x_2] x [x_2,x_3] x ... x [x_n,x_{n+1}] and the transformed
+R(x) = [x_1,x_2] x [x_2,x_3] x ... x [x_n,x_{n+1}], held as the tuple
+`PointSequence.intervals` of its axis bounds, and the transformed
 sequence y with
 
     y_i = (sum of all x_j) - x_{n+2-i},
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 # Floats closer than this are treated as non-increasing; exact values use
 # exact comparison instead.
@@ -62,6 +63,11 @@ class PointSequence:
         return len(self.values) - 1
 
     @property
+    def intervals(self) -> tuple[tuple, ...]:
+        """The sequential rectangle R(x) as its n axis bounds (x_i, x_{i+1})."""
+        return tuple(zip(self.values, self.values[1:]))
+
+    @property
     def is_exact(self) -> bool:
         return isinstance(self.values[0], Fraction)
 
@@ -80,22 +86,6 @@ class PointSequence:
     def render(self) -> str:
         """Comma-separated text form matching the input grammar."""
         return ",".join(str(v) for v in self.values)
-
-
-@dataclass(frozen=True)
-class SequentialRectangle:
-    """The box of consecutive intervals [x_i, x_{i+1}] of a sequence."""
-
-    x: PointSequence
-
-    @property
-    def dimension(self) -> int:
-        return self.x.n
-
-    @property
-    def intervals(self) -> tuple[tuple, ...]:
-        v = self.x.values
-        return tuple((v[i], v[i + 1]) for i in range(len(v) - 1))
 
 
 def parse_points(text: str, exact: bool = False) -> PointSequence:
@@ -161,39 +151,3 @@ def monotone_vertices(x: PointSequence) -> list[tuple]:
         skip = n + 1 - i  # 0-based index of the omitted coordinate
         out.append(tuple(vals[j] for j in range(n + 1) if j != skip))
     return out
-
-
-MatrixRole = Literal["forward", "inverse"]
-
-
-@dataclass(frozen=True)
-class TransformMatrix:
-    """The (n+1)x(n+1) linear map between x and y, or its inverse."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-    role: MatrixRole
-
-    def apply(self, values: Sequence) -> tuple:
-        return tuple(sum(c * v for c, v in zip(row, values) if c) for row in self.entries)
-
-
-def transform_matrix(n: int, role: MatrixRole = "forward") -> TransformMatrix:
-    """Explicit matrix for y = M x (forward) or x = M^{-1} y (inverse).
-
-    Forward rows are all ones with a zero on the anti-diagonal; the
-    inverse has 1/n everywhere except (1-n)/n on the anti-diagonal.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    size = n + 1
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            on_anti = j == size - 1 - i
-            if role == "forward":
-                row.append(Fraction(0) if on_anti else Fraction(1))
-            else:
-                row.append(Fraction(1 - n, n) if on_anti else Fraction(1, n))
-        rows.append(tuple(row))
-    return TransformMatrix(tuple(rows), role)

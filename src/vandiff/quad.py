@@ -1,5 +1,8 @@
 """Tensor-product Gauss-Legendre cubature on sequential rectangles.
 
+A box is given by its intervals, one (lower, upper) pair per axis, as
+`PointSequence.intervals` returns them for R(x).
+
 Non-adaptive by design: the integrands are smooth on a box, the rule
 converges spectrally, and a fixed rule keeps output bit-reproducible.
 The node grid is cut into slabs, one per node of the leading axes; the
@@ -18,12 +21,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .funcs import AnalyticFunction, PoleError
-from .points import PointSequence, SequentialRectangle, sum_bounds
+from .points import PointSequence, sum_bounds
 from .symfun import vandermonde_product
 
 MAX_ORDER = 64
@@ -94,18 +97,20 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
 
 def integrate_over_rectangle(
-    rect: SequentialRectangle,
+    intervals: Sequence[tuple],
     integrand: Callable,
     order: int,
     *,
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> CubatureResult:
-    """Tensor-product rule over the rectangle, deterministic for any workers.
+    """Tensor-product rule over the box, deterministic for any workers.
 
-    The grid is integrated one slab at a time.  The trailing m axes, m the
-    largest with order**m <= _CHUNK, span a slab; the k = n - m leading
-    axes pick it.  The integrand is called once per slab with one argument
+    `intervals` holds one (a, b) pair of bounds per axis, so its length is
+    the dimension n; each bound is converted to float.  The grid is
+    integrated one slab at a time.  The trailing m axes, m the largest
+    with order**m <= _CHUNK, span a slab; the k = n - m leading axes pick
+    it.  The integrand is called once per slab with one argument
     per axis: a float for each leading axis, then for trailing axis j a
     broadcast view of its nodes with shape (1,)*j + (order,) + (1,)*(m-1-j).
     Its result must broadcast to the slab's grid (order,)*m, so a lower-rank
@@ -113,7 +118,6 @@ def integrate_over_rectangle(
     overflow in the integrand or in a slab's sum raises FloatingPointError.
     """
     rule = gauss_legendre(order)
-    intervals = rect.intervals
     n = len(intervals)
     total = order**n
     if total > budget:
@@ -198,7 +202,7 @@ def integral_side(
 
     try:
         return integrate_over_rectangle(
-            SequentialRectangle(xf), integrand, order, workers=workers, budget=budget
+            xf.intervals, integrand, order, workers=workers, budget=budget
         )
     except FloatingPointError:
         raise OverflowError(

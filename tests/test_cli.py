@@ -231,6 +231,26 @@ def test_verify_lemmas_unknown_group_exit_2():
     assert "unknown lemma group" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--cases", "0", "--only", "pure-derivative,newton", "--n-max", "3"],
+            "cases must be at least 1, got 0",
+        ),
+        (["--cases", "-2", "--only", "chain-rule"], "cases must be at least 1, got -2"),
+        (["--n-max", "0"], "n_max must be at least 1, got 0"),
+        (["--n-max", "-3"], "n_max must be at least 1, got -3"),
+    ],
+)
+def test_verify_lemmas_rejects_counts_below_one(argv, message):
+    # with no n or no sample, a group would check nothing and still pass
+    proc = run_cli("verify-lemmas", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 # -- transform -----------------------------------------------------------------------
 
 

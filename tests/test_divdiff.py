@@ -57,10 +57,10 @@ def test_sum_form_two_points_is_difference_quotient():
 
 
 def test_table_layers_shape():
-    table = build_table((0, 1, 3), (2, 4, 10))
-    assert table.layers[0] == (2, 4, 10)
-    assert table.layers[1] == (2, 3)
-    assert table.value == table.layers[2][0]
+    layers = build_table((0, 1, 3), (2, 4, 10))
+    assert layers[0] == (2, 4, 10)
+    assert layers[1] == (2, 3)
+    assert layers[2] == ((3 - 2) / (3 - 0),)
 
 
 # -- route agreement ------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from vandiff.exact import (
     MissingVariableError,
     MultiPoly,
-    Rational,
     VarId,
     var_family,
 )
@@ -25,9 +24,9 @@ def tp(v):
 
 
 def test_rational_is_reduced_with_positive_denominator():
-    q = Rational(6, -4)
+    q = Fraction(6, -4)
     assert q.numerator == -3 and q.denominator == 2
-    assert Rational(0, 7) == 0 and Rational(0, 7).denominator == 1
+    assert Fraction(0, 7) == 0 and Fraction(0, 7).denominator == 1
 
 
 def test_float_coefficients_rejected():

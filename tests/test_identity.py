@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vandiff import identity
 from vandiff.divdiff import divided_difference
 from vandiff.exact import MultiPoly, var_family
 from vandiff.funcs import Exponential, Polynomial, Sine
@@ -33,7 +34,7 @@ from vandiff.identity import (
     suite_passed,
 )
 from vandiff.points import PointSequence
-from vandiff.symfun import vandermonde_poly
+from vandiff.symfun import MixedSum, vandermonde_poly
 
 import random
 
@@ -330,6 +331,59 @@ def test_lemma_suite_seed_changes_cases_but_not_verdict():
     b = run_lemma_suite(2, groups=["vertex-sum"], seed=2, cases=3)
     assert suite_passed(a) and suite_passed(b)
     assert [r.config["bounds"] for r in a] != [r.config["bounds"] for r in b]
+
+
+def test_sampled_groups_name_their_cases_in_order():
+    reports = run_lemma_suite(5, groups=["vertex-sum", "reduced-vertex-sum"], cases=2)
+    assert [r.name for r in reports] == [
+        f"{group}[n={n},case={j}]"
+        for group in ("vertex-sum", "reduced-vertex-sum")
+        for n in range(1, 5)
+        for j in range(2)
+    ]
+    assert suite_passed(reports)
+
+
+def test_pure_derivative_witness_is_the_first_failing_pair(monkeypatch):
+    # n = 2, k = 1 checks t1 then t2 in each sample; breaking e_1 from its
+    # third call on makes sample 1 at t1 the first failure
+    original = identity.elementary_symmetric
+    recips = []
+
+    def broken(k, args):
+        recips.append(args[0].as_constant())
+        out = original(k, args)
+        return out + MultiPoly.one() if len(recips) >= 3 else out
+
+    monkeypatch.setattr(identity, "elementary_symmetric", broken)
+    (report,) = run_lemma_suite(2, groups=["pure-derivative"], cases=3)
+    assert len(recips) == 3  # nothing is sampled after the first failure
+    # at t1, dV/dt1 = -1 and the one reciprocal is r = 1/(t1 - t2) = -1/V,
+    # so the broken right side is V * (r + 1) = -1 - 1/r
+    r = recips[2]
+    assert (report.lhs, report.rhs) == (-1, -1 - 1 / r)
+    assert not report.passed and report.config == {"samples": 3}
+
+
+def test_newton_witness_is_the_first_failing_pair(monkeypatch):
+    # n = 1, k = 1 applies E_1 (left side) then P_1 (right side) per sample;
+    # breaking P_1 from sample 1 on makes sample 1 the first failure
+    original = identity.apply_operator
+    left = []
+
+    def broken(op, p, tvars):
+        out = original(op, p, tvars)
+        if isinstance(op, MixedSum):
+            left.append(out)
+        elif len(left) >= 2:
+            out = out + MultiPoly.one()
+        return out
+
+    monkeypatch.setattr(identity, "apply_operator", broken)
+    (report,) = run_lemma_suite(1, groups=["newton"], cases=4)
+    assert len(left) == 2  # nothing is sampled after the first failure
+    assert (report.lhs, report.rhs) == (left[1], left[1] + MultiPoly.one())
+    assert not report.passed and report.config == {"samples": 4}
 
 
 # -- reports and serialization ----------------------------------------------------

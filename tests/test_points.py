@@ -9,12 +9,9 @@ from hypothesis import given, strategies as st
 from vandiff.exact import MultiPoly, var_family
 from vandiff.points import (
     PointSequence,
-    SequentialRectangle,
-    TransformMatrix,
     monotone_vertices,
     parse_points,
     sum_bounds,
-    transform_matrix,
     x_from_y,
     y_from_x,
 )
@@ -94,9 +91,9 @@ def test_parse_rejects_garbage():
 
 
 def test_sequential_rectangle_intervals():
-    rect = SequentialRectangle(exact_seq(0, 1, 2, 4))
-    assert rect.dimension == 3
-    assert rect.intervals == ((0, 1), (1, 2), (2, 4))
+    x = exact_seq(0, 1, 2, 4)
+    assert len(x.intervals) == x.n == 3
+    assert x.intervals == ((0, 1), (1, 2), (2, 4))
 
 
 # -- the transform ------------------------------------------------------------------
@@ -186,7 +183,7 @@ def test_monotone_vertex_sums_are_y_values():
 
 def test_monotone_vertices_match_selectors_on_intervals():
     x = exact_seq(Fraction(-1), Fraction(1, 2), 3, 7)
-    intervals = SequentialRectangle(x).intervals
+    intervals = x.intervals
     # the n+1 non-decreasing lower/upper flags (0..0), (0..01), ..., (1..1)
     sels = [(0,) * (x.n + 1 - i) + (1,) * (i - 1) for i in range(1, x.n + 2)]
     expected = [
@@ -194,51 +191,3 @@ def test_monotone_vertices_match_selectors_on_intervals():
     ]
     assert monotone_vertices(x) == expected
     assert set(zip(sels, expected)) <= set(enumerate_vertices(intervals))
-
-
-# -- explicit matrices ---------------------------------------------------------------
-
-
-def test_forward_matrix_reproduces_transform():
-    for n in range(1, 7):
-        x = PointSequence.exact(list(range(0, 2 * (n + 1), 2)))
-        m = transform_matrix(n, "forward")
-        assert m.apply(x.values) == y_from_x(x).values
-
-
-def test_inverse_matrix_reproduces_inverse_transform():
-    for n in range(1, 7):
-        y = PointSequence.exact([Fraction(3 * i + 1, 2) for i in range(n + 1)])
-        m = transform_matrix(n, "inverse")
-        assert m.apply(y.values) == x_from_y(y).values
-
-
-def test_forward_times_inverse_is_identity():
-    for n in range(1, 7):
-        fwd = transform_matrix(n, "forward")
-        inv = transform_matrix(n, "inverse")
-        size = n + 1
-        for j in range(size):
-            unit = tuple(Fraction(int(i == j)) for i in range(size))
-            assert fwd.apply(inv.apply(unit)) == unit
-            assert inv.apply(fwd.apply(unit)) == unit
-
-
-def test_forward_matrix_entries_n2():
-    m = transform_matrix(2, "forward")
-    assert m.entries == (
-        (Fraction(1), Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(1), Fraction(1)),
-    )
-
-
-def test_matrix_for_n1_is_identity():
-    for role in ("forward", "inverse"):
-        m = transform_matrix(1, role)
-        assert m.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def test_transform_matrix_rejects_n0():
-    with pytest.raises(ValueError):
-        transform_matrix(0)

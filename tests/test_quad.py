@@ -9,7 +9,7 @@ import pytest
 
 from vandiff import quad
 from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal
-from vandiff.points import PointSequence, SequentialRectangle
+from vandiff.points import PointSequence
 from vandiff.quad import (
     MAX_DIMENSION,
     MAX_ORDER,
@@ -21,7 +21,7 @@ from vandiff.quad import (
 
 
 def rect(*vals):
-    return SequentialRectangle(PointSequence.floating(vals))
+    return PointSequence.floating(vals).intervals
 
 
 # -- one-dimensional rules ----------------------------------------------------------
@@ -111,11 +111,7 @@ def test_polynomial_integrand_is_exact_at_low_order():
 
 def test_known_closed_form_in_three_dimensions():
     # integral of t1*t2*t3 over [0,1]^3 = 1/8
-    got = integrate_over_rectangle(
-        SequentialRectangle(PointSequence.floating([0, 1])),
-        lambda t: t,
-        8,
-    )
+    got = integrate_over_rectangle(((0.0, 1.0),), lambda t: t, 8)
     assert got.value == pytest.approx(0.5, rel=1e-14)
     box = rect(0, 1)
     prod = 1.0
@@ -142,18 +138,18 @@ def test_worker_count_does_not_change_the_bits():
         ),
     ]
     for xs, integrand in cases:
-        box = SequentialRectangle(PointSequence.floating(xs))
+        box = PointSequence.floating(xs).intervals
         single = integrate_over_rectangle(box, integrand, 20, workers=1)
         for workers in (2, 4, 7):
             multi = integrate_over_rectangle(box, integrand, 20, workers=workers)
             assert multi.value == single.value  # bitwise, not approx
 
 
-def reference_cubature(rect, integrand, order):
+def reference_cubature(intervals, integrand, order):
     """The plain tensor-product rule, one node at a time."""
     rule = gauss_legendre(order)
     axes = []
-    for a, b in rect.intervals:
+    for a, b in intervals:
         half = 0.5 * (b - a)
         axes.append(
             [(0.5 * (a + b) + half * z, half * w) for z, w in zip(rule.nodes, rule.weights)]

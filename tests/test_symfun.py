@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vandiff.exact import MultiPoly, VarId, var_family
-from vandiff.points import PointSequence, SequentialRectangle, monotone_vertices
+from vandiff.points import PointSequence, monotone_vertices
 from vandiff.symfun import (
     DEFAULT_SYMBOLIC_LIMIT,
     MixedSum,
@@ -214,9 +214,7 @@ def test_enumerate_vertices_count():
 def test_monotone_selectors_are_subset_of_all_vertices():
     for n in range(1, 5):
         x = PointSequence.exact([Fraction(i * i) for i in range(n + 1)])
-        flagged = dict(
-            (point, eps) for eps, point in enumerate_vertices(SequentialRectangle(x).intervals)
-        )
+        flagged = dict((point, eps) for eps, point in enumerate_vertices(x.intervals))
         mono = monotone_vertices(x)
         assert len(mono) == n + 1
         assert all(v in flagged for v in mono)
