@@ -14,9 +14,11 @@ Output goes to stdout, one JSON object per line by default (also csv or
 text); diagnostics go to stderr.  Exit codes: 0 all checks passed, 1 a
 verification failed, 2 usage, parse, or infeasible-input errors.
 
-Defaults for order, tolerance, seed, and budget can be overridden with the
-environment variables VANDIFF_ORDER, VANDIFF_TOLERANCE, VANDIFF_SEED, and
-VANDIFF_BUDGET.  Worker count never influences output bytes.
+A command that takes --order, --tolerance, --budget or --seed takes its
+default from VANDIFF_ORDER, VANDIFF_TOLERANCE, VANDIFF_BUDGET or
+VANDIFF_SEED when that is set, and an explicit flag beats it; a command
+without the option never reads the variable.  Worker count never
+influences output bytes.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ from .points import parse_points, x_from_y, y_from_x
 from .quad import BudgetExceededError, DEFAULT_BUDGET, integral_side
 from .symfun import vandermonde_product
 
-_ENV_PREFIX = "VANDIFF_"
-
-
 def budget(text: str) -> int:
     value = float(text)
     if not math.isfinite(value):
@@ -67,19 +66,33 @@ def tolerance(text: str) -> float:
     return value
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        print(
-            f"error: environment variable {_ENV_PREFIX}{name} has "
-            f"invalid value {raw!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+# option -> (environment variable, parser, default) for each option whose
+# default the environment may override
+_ENV_OPTIONS = {
+    "order": ("VANDIFF_ORDER", int, DEFAULT_ORDER),
+    "tolerance": ("VANDIFF_TOLERANCE", tolerance, DEFAULT_TOLERANCE),
+    "budget": ("VANDIFF_BUDGET", budget, DEFAULT_BUDGET),
+    "seed": ("VANDIFF_SEED", int, DEFAULT_SEED),
+}
+
+
+def _fill_from_environment(args) -> None:
+    """Give each option of the chosen command that the command line left
+    unset the value of its environment variable, or else its default.  A
+    set variable must parse even when the flag is given."""
+    for dest, (name, cast, value) in _ENV_OPTIONS.items():
+        if not hasattr(args, dest):
+            continue
+        raw = os.environ.get(name)
+        if raw is not None:
+            try:
+                value = cast(raw)
+            except ValueError:
+                raise ValueError(
+                    f"environment variable {name} has invalid value {raw!r}"
+                ) from None
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,43 +101,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Evaluate and cross-verify divided differences and "
         "their rectangle-integral representation.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # option groups, each declared once; a command takes those it reads
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format",
         choices=("json", "csv", "text"),
         default="json",
         help="output format (default json, one object per line)",
     )
-    common.add_argument(
-        "--order",
-        type=int,
-        default=_env_default("ORDER", int, DEFAULT_ORDER),
-        help="quadrature nodes per axis",
+    cubature = argparse.ArgumentParser(add_help=False)
+    cubature.add_argument("--order", type=int, help="quadrature nodes per axis")
+    cubature.add_argument(
+        "--budget", type=budget, help="maximum total quadrature evaluations"
     )
-    common.add_argument(
-        "--tolerance",
-        type=tolerance,
-        default=_env_default("TOLERANCE", tolerance, DEFAULT_TOLERANCE),
-        help="relative tolerance for floating checks",
-    )
-    common.add_argument(
-        "--budget",
-        type=budget,
-        default=_env_default("BUDGET", budget, DEFAULT_BUDGET),
-        help="maximum total quadrature evaluations",
-    )
-    common.add_argument(
+    cubature.add_argument(
         "--workers",
         type=int,
         default=1,
         help="parallel workers for cubature (never changes output)",
+    )
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument(
+        "--tolerance", type=tolerance, help="relative tolerance for floating checks"
+    )
+    integrand = argparse.ArgumentParser(add_help=False)
+    integrand.add_argument("--x", required=True, help="comma-separated points x")
+    integrand.add_argument("--function", required=True, help="e.g. poly:0,0,1 or exp:1")
+    integrand.add_argument(
+        "--symbolic",
+        action="store_true",
+        help="exact pipeline (rational x, polynomial f)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "divdiff",
-        parents=[common],
+        parents=[fmt, cubature, tol],
         help="divided difference at the given points",
     )
     p.add_argument("--points", required=True, help="comma-separated points")
@@ -143,35 +156,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "integral",
-        parents=[common],
+        parents=[fmt, cubature, integrand],
         help="integral of V(t) * f^(n)(t_1+...+t_n) over R(x)",
-    )
-    p.add_argument("--x", required=True, help="comma-separated points x")
-    p.add_argument("--function", required=True)
-    p.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="exact iterated integration (rational x, polynomial f)",
     )
     p.set_defaults(func=cmd_integral)
 
     p = sub.add_parser(
         "theorem1",
-        parents=[common],
+        parents=[fmt, cubature, tol, integrand],
         help="verify the integral equals V(x) times the divided difference",
-    )
-    p.add_argument("--x", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="exact pipeline (rational x, polynomial f)",
     )
     p.set_defaults(func=cmd_theorem1)
 
     p = sub.add_parser(
         "corollary",
-        parents=[common],
+        parents=[fmt],
         help="symbolic volume identity for each n up to --n-max",
     )
     p.add_argument("--n-max", type=int, default=5)
@@ -180,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-lemmas",
         aliases=["lemmas"],
-        parents=[common],
+        parents=[fmt],
         help="run the exact lemma suite",
     )
     p.add_argument("--n-max", type=int, default=5)
@@ -189,17 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated subset of groups: " + ", ".join(LEMMA_GROUPS),
     )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=_env_default("SEED", int, DEFAULT_SEED),
-    )
+    p.add_argument("--seed", type=int)
     p.add_argument("--cases", type=int, default=10, help="samples per random case")
     p.set_defaults(func=cmd_verify_lemmas)
 
     p = sub.add_parser(
         "transform",
-        parents=[common],
+        parents=[fmt, tol],
         help="the sum-complement point transform and its inverse",
     )
     p.add_argument("--x", default=None)
@@ -351,21 +346,15 @@ def cmd_verify_lemmas(args) -> int:
 
 def cmd_transform(args) -> int:
     if args.inverse:
-        if args.y is None:
-            print("error: --inverse needs --y", file=sys.stderr)
-            return 2
-        source = parse_points(args.y, exact=args.symbolic)
-        target = x_from_y(source)
-        x_seq, y_seq = target, source
-        direction = "inverse"
+        direction, text, missing = "inverse", args.y, "--inverse needs --y"
     else:
-        if args.x is None:
-            print("error: forward transform needs --x", file=sys.stderr)
-            return 2
-        source = parse_points(args.x, exact=args.symbolic)
-        target = y_from_x(source)
-        x_seq, y_seq = source, target
-        direction = "forward"
+        direction, text, missing = "forward", args.x, "forward transform needs --x"
+    if text is None:
+        raise ValueError(missing)
+    source = parse_points(text, exact=args.symbolic)
+    x_seq, y_seq = (
+        (x_from_y(source), source) if args.inverse else (source, y_from_x(source))
+    )
     vx = vandermonde_product(x_seq.values)
     vy = vandermonde_product(y_seq.values)
     if x_seq.is_exact:
@@ -387,9 +376,9 @@ def cmd_transform(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _fill_from_environment(args)
         return args.func(args)
     except (ValueError, TypeError, OverflowError, BudgetExceededError) as exc:
         # covers parse errors, non-increasing points, symbolic caps, poles

@@ -35,6 +35,8 @@ def _check_distinct(values: Sequence) -> None:
 
 
 def _warn_if_clustered(values: Sequence) -> None:
+    if isinstance(values[0], Fraction):
+        return  # exact arithmetic loses nothing to clustering
     span = max(values) - min(values)
     ordered = sorted(values)
     min_gap = min(b - a for a, b in zip(ordered, ordered[1:]))

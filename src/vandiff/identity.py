@@ -712,19 +712,20 @@ def run_lemma_suite(
 
     Each group draws from its own seeded stream, so restricting to a
     subset of groups reproduces exactly the cases the full run would have
-    generated for them.  n_max and cases must be at least 1: with fewer,
-    a group would check nothing and still pass.
+    generated for them.  n_max and cases must be at least 1, and groups
+    must name at least one group: with fewer, the suite would check
+    nothing and still pass.
     """
     for name, value in (("n_max", n_max), ("cases", cases)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     chosen = LEMMA_GROUPS if groups is None else tuple(groups)
     unknown = [g for g in chosen if g not in LEMMA_GROUPS]
-    if unknown:
-        raise ValueError(
-            f"unknown lemma group(s) {', '.join(unknown)}; "
-            f"expected a subset of {', '.join(LEMMA_GROUPS)}"
-        )
+    if unknown or not chosen:
+        what = "no lemma group selected"
+        if unknown:
+            what = f"unknown lemma group(s) {', '.join(unknown)}"
+        raise ValueError(f"{what}; expected a subset of {', '.join(LEMMA_GROUPS)}")
     out: list[IdentityReport] = []
     for group, suite in _LEMMA_SUITES.items():
         if group in chosen:

@@ -46,8 +46,10 @@ class PointSequence:
                 raise ValueError("mixed exact and floating coordinates")
         gap = 0 if exact else FLOAT_MIN_GAP
         for a, b in zip(vals, vals[1:]):
-            if not b - a > gap:
+            if not b > a:
                 raise ValueError(f"points must be strictly increasing: {a} !< {b}")
+            if not b - a > gap:
+                raise ValueError(f"points {a} and {b} are closer than {gap}")
 
     @classmethod
     def exact(cls, values: Sequence) -> PointSequence:
@@ -125,11 +127,11 @@ def x_from_y(y: PointSequence) -> PointSequence:
     n = y.n
     if y.is_exact:
         total = sum(vals, Fraction(0))
-        out = tuple((total - n * vals[len(vals) - 1 - i]) / Fraction(n) for i in range(len(vals)))
     else:
         total = math.fsum(vals)
-        out = tuple((total - n * vals[len(vals) - 1 - i]) / n for i in range(len(vals)))
-    return PointSequence(out)
+    return PointSequence(
+        tuple((total - n * vals[len(vals) - 1 - i]) / n for i in range(len(vals)))
+    )
 
 
 def sum_bounds(x: PointSequence) -> tuple:

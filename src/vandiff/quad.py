@@ -64,6 +64,16 @@ def gauss_legendre(order: int) -> QuadratureRule:
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}, got {order}")
+
+    def legendre(z: float) -> tuple[float, float]:
+        """P_order(z) and its derivative, by the three-term recurrence."""
+        if order == 1:
+            return z, 1.0
+        p0, p1 = 1.0, z
+        for j in range(2, order + 1):
+            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
+        return p1, order * (z * p1 - p0) / (z * z - 1.0)
+
     nodes = [0.0] * order
     weights = [0.0] * order
     half = (order + 1) // 2
@@ -71,23 +81,14 @@ def gauss_legendre(order: int) -> QuadratureRule:
         # descending positive roots; standard cosine initial guess
         z = math.cos(math.pi * (k + 0.75) / (order + 0.5))
         for _ in range(100):
-            p0, p1 = 1.0, z
-            for j in range(2, order + 1):
-                p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
-            if order == 1:
-                p1, dp = z, 1.0
-            else:
-                dp = order * (z * p1 - p0) / (z * z - 1.0)
-            step = p1 / dp
+            p, dp = legendre(z)
+            step = p / dp
             z -= step
             if abs(step) <= _NEWTON_TOL:
                 break
         if order % 2 == 1 and k == half - 1:
             z = 0.0  # middle root is exact by symmetry
-        p0, p1 = 1.0, z
-        for j in range(2, order + 1):
-            p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j
-        dp = 1.0 if order == 1 else order * (z * p1 - p0) / (z * z - 1.0)
+        dp = legendre(z)[1]
         w = 2.0 / ((1.0 - z * z) * dp * dp)
         nodes[order - 1 - k] = z
         nodes[k] = -z

@@ -1,4 +1,5 @@
-"""Black-box CLI tests through `python -m vandiff`."""
+"""Black-box CLI tests through `python -m vandiff`, and a count of the
+options each command's parser takes."""
 
 import json
 import math
@@ -7,6 +8,9 @@ import subprocess
 import sys
 
 import pytest
+
+from vandiff.cli import build_parser
+from vandiff.identity import LEMMA_GROUPS
 
 BASE = [sys.executable, "-m", "vandiff"]
 
@@ -231,6 +235,11 @@ def test_verify_lemmas_unknown_group_exit_2():
     assert "unknown lemma group" in proc.stderr
 
 
+NO_GROUP = "no lemma group selected; expected a subset of " + ", ".join(
+    LEMMA_GROUPS
+)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -241,10 +250,13 @@ def test_verify_lemmas_unknown_group_exit_2():
         (["--cases", "-2", "--only", "chain-rule"], "cases must be at least 1, got -2"),
         (["--n-max", "0"], "n_max must be at least 1, got 0"),
         (["--n-max", "-3"], "n_max must be at least 1, got -3"),
+        (["--only", ""], NO_GROUP),
+        (["--only", ","], NO_GROUP),
     ],
 )
 def test_verify_lemmas_rejects_counts_below_one(argv, message):
-    # with no n or no sample, a group would check nothing and still pass
+    # with no n, no sample or no group, the suite would check nothing and
+    # still pass
     proc = run_cli("verify-lemmas", *argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -359,6 +371,16 @@ def test_env_invalid_value_exit_2():
     assert "VANDIFF_ORDER" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("corollary", "--n-max", "1"), ("verify-lemmas", "--n-max", "1", "--cases", "1")],
+)
+def test_env_order_is_not_read_by_commands_without_order(argv):
+    proc = run_cli(*argv, env_extra={"VANDIFF_ORDER": "abc"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_flag_beats_environment():
     proc = run_cli(
         "theorem1",
@@ -403,3 +425,58 @@ def test_missing_subcommand_exit_2():
 def test_unknown_subcommand_exit_2():
     proc = run_cli("frobnicate")
     assert proc.returncode == 2
+
+
+# each command's options, counted without --help
+OPTIONS = {
+    "divdiff": 9,
+    "integral": 7,
+    "theorem1": 8,
+    "corollary": 2,
+    "verify-lemmas": 5,
+    "transform": 6,
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    (commands,) = [
+        a.choices for a in build_parser()._actions if a.dest == "command"
+    ]
+    counts = {
+        name: sum(
+            bool(a.option_strings) and a.dest != "help"
+            for a in commands[name]._actions
+        )
+        for name in OPTIONS
+    }
+    assert counts == OPTIONS
+    assert sum(counts.values()) == 37
+    assert commands["lemmas"] is commands["verify-lemmas"]
+
+
+# arguments that make each command run, and the flags it no longer takes
+RUNNABLE = {
+    "integral": ("--x", "0,1,2", "--function", "exp:1"),
+    "corollary": ("--n-max", "1"),
+    "verify-lemmas": ("--n-max", "1"),
+    "transform": ("--x", "0,1,2"),
+}
+REMOVED_FLAGS = [
+    ("integral", "--tolerance"),
+    *(
+        (command, flag)
+        for command in ("corollary", "verify-lemmas")
+        for flag in ("--order", "--tolerance", "--budget", "--workers")
+    ),
+    ("transform", "--order"),
+    ("transform", "--budget"),
+    ("transform", "--workers"),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS)
+def test_command_rejects_options_it_does_not_read(command, flag):
+    proc = run_cli(command, *RUNNABLE[command], flag, "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"unrecognized arguments: {flag} 1" in proc.stderr

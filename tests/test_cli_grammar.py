@@ -78,6 +78,9 @@ COMMANDS = [
     "lemmas",
     "transform",
 ]
+# the commands that take --order, --budget and --workers, and --tolerance
+CUBATURE_COMMANDS = ("divdiff", "integral", "theorem1")
+TOLERANCE_COMMANDS = ("divdiff", "theorem1", "transform")
 
 
 def _flag(name, values):
@@ -113,10 +116,12 @@ def command_lines(draw):
         argv += draw(_flag("only", groups))
         argv += draw(_flag("seed", SEEDS))
     argv += draw(_flag("format", st.sampled_from(["json", "csv", "text"])))
-    argv += draw(_flag("order", ORDERS))
-    argv += draw(_flag("tolerance", TOLERANCES))
-    argv += draw(_flag("budget", BUDGETS))
-    argv += draw(_flag("workers", st.sampled_from(["1", "2"])))
+    if command in CUBATURE_COMMANDS:
+        argv += draw(_flag("order", ORDERS))
+        argv += draw(_flag("budget", BUDGETS))
+        argv += draw(_flag("workers", st.sampled_from(["1", "2"])))
+    if command in TOLERANCE_COMMANDS:
+        argv += draw(_flag("tolerance", TOLERANCES))
     env = draw(
         st.fixed_dictionaries(
             {},

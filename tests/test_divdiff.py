@@ -133,6 +133,16 @@ def test_clustered_points_warn():
         sum_form([0.0, 1e-9, 1.0], Exponential(1.0))
 
 
+def test_exact_clustered_points_do_not_warn():
+    import warnings
+
+    values = (Fraction(0), Fraction(1, 10**7), Fraction(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        build_table(values, (Fraction(0), Fraction(1), Fraction(2)))
+        sum_form(values, monomial(2))
+
+
 def test_well_separated_points_do_not_warn():
     import warnings
 

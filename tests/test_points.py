@@ -40,10 +40,12 @@ def test_non_increasing_rejected_with_message():
         PointSequence.exact([0, 1, 1])
     assert "points must be strictly increasing" in str(err.value)
     assert "1 !< 1" in str(err.value)
+    with pytest.raises(ValueError, match=r"strictly increasing: 1\.0 !< 0\.5"):
+        PointSequence.floating([0.0, 1.0, 0.5])
 
 
 def test_float_gap_below_threshold_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^points 0\.0 and 1e-13 are closer than 1e-12$"):
         PointSequence.floating([0.0, 1e-13])
     # a gap just above the threshold is fine
     PointSequence.floating([0.0, 1e-11])

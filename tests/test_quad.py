@@ -1,5 +1,6 @@
 """Gauss-Legendre rules and deterministic tensor-product cubature."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -75,6 +76,13 @@ def test_rules_match_reference_implementation(order):
     rule = gauss_legendre(order)
     assert np.allclose(rule.nodes, ref_nodes, atol=1e-14, rtol=0)
     assert np.allclose(rule.weights, ref_weights, atol=1e-14, rtol=0)
+
+
+def test_rules_are_bit_identical_to_pinned_digest():
+    # sha256 of repr of every rule's nodes and weights, orders 1..64
+    rules = [(gauss_legendre(o).nodes, gauss_legendre(o).weights) for o in range(1, 65)]
+    digest = hashlib.sha256(repr(rules).encode()).hexdigest()
+    assert digest == "32300b2f5250e9ca1e0f06bd21b608c7cfe667b84f95e8ef955ee09f239d9bee"
 
 
 def test_order_out_of_range():
