@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers for cubature (never changes output)",
+        help="parallel workers for cubature, at least 1 (never changes output)",
     )
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
@@ -379,6 +379,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _fill_from_environment(args)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
         return args.func(args)
     except (ValueError, TypeError, OverflowError, BudgetExceededError) as exc:
         # covers parse errors, non-increasing points, symbolic caps, poles

@@ -3,7 +3,7 @@
 The central claim checked here: integrating V(t) * f^(n)(t_1 + ... + t_n)
 over the sequential rectangle R(x) gives V(x) times the divided difference
 of f at the transformed points y.  Two pipelines verify it, an exact one
-(rational points, polynomial f, iterated symbolic integration) and a
+(rational points, polynomial f, the box integral by per-axis moments) and a
 floating one (Gauss-Legendre cubature vs. the divided-difference table).
 The supporting derivative and vertex-sum identities are certified exactly
 by the seeded lemma suite.
@@ -24,7 +24,7 @@ from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .divdiff import divided_difference, divided_difference_side
-from .exact import MultiPoly, VarId, var_family
+from .exact import MultiPoly, VarId, _coeff, var_family
 from .funcs import AnalyticFunction, Polynomial
 from .points import PointSequence, monotone_vertices, x_from_y, y_from_x
 from .quad import DEFAULT_BUDGET, integral_side
@@ -144,12 +144,70 @@ def _sum_poly(variables: Sequence[VarId]) -> MultiPoly:
     return total
 
 
-def _integrate_box(p: MultiPoly, tvars: Sequence[VarId], bounds) -> MultiPoly:
-    """Integrate p in tvars[i] between the bounds of axis i, first axis
-    first; bounds are (lower, upper) pairs of rationals or polynomials."""
-    for v, (a, b) in zip(tvars, bounds):
-        p = p.integrate(v, a, b)
-    return p
+def _box_integral(p: MultiPoly, tvars: Sequence[VarId], bounds, g=(1,)) -> Fraction:
+    """Exact integral of p(t) * g(t_1 + ... + t_n) over the box whose axis
+    i runs over the constant bounds (a_i, b_i) of variable tvars[i].
+
+    g holds the coefficients g_0, g_1, ..., g_K of a polynomial in one
+    variable, lowest first; an empty g is the zero polynomial.  Monomials
+    integrate axis by axis, and the multinomial theorem gives
+
+        int t^alpha (t_1 + ... + t_n)^k dt = k! [z^k] prod_i A_i(alpha_i; z),
+        A_i(e; z) = sum_{j<=K} m_i(e + j) z^j / j!,
+        m_i(e) = (b_i^(e+1) - a_i^(e+1)) / (e + 1),
+
+    so one pass over the terms of p multiplies truncated series.  Each
+    axis table, and the coefficients of p and g, are scaled to integers
+    over one denominator each: the pass is integer multiply-add, and one
+    Fraction is built at the end.
+    """
+    g = [_coeff(c) for c in g]
+    if not g or p.is_zero:
+        return Fraction(0)
+    if not bounds:
+        raise ValueError("box needs at least one axis")
+    top = len(g)  # K + 1 series coefficients
+    terms = p.terms()
+    axis = {v: i for i, v in enumerate(tvars)}
+    exponents = []
+    for mono in terms:
+        exps = [0] * len(tvars)
+        for v, e in mono:
+            if v not in axis:
+                raise ValueError(f"{v.name} is not an integration variable")
+            exps[axis[v]] = e
+        exponents.append(exps)
+    coeffs, denominator = _over_one_denominator(terms.values())
+    weights, den = _over_one_denominator(
+        [c * math.factorial(k) for k, c in enumerate(g)]
+    )
+    denominator *= den
+    tables = []  # tables[i][e] = A_i(e; z), coefficients of z^0 .. z^K
+    for i, (a, b) in enumerate(bounds):
+        a, b = _coeff(a), _coeff(b)
+        rows = max(exps[i] for exps in exponents) + 1
+        m = [(b ** (r + 1) - a ** (r + 1)) / (r + 1) for r in range(rows + top - 1)]
+        flat, den = _over_one_denominator(
+            [m[e + j] / math.factorial(j) for e in range(rows) for j in range(top)]
+        )
+        tables.append([flat[e * top : (e + 1) * top] for e in range(rows)])
+        denominator *= den
+    first, later = tables[0], tables[1:]
+    total = 0
+    for exps, c in zip(exponents, coeffs):
+        acc = first[exps[0]]
+        for table, e in zip(later, exps[1:]):
+            row = table[e]
+            acc = [sum(acc[k - j] * row[j] for j in range(k + 1)) for k in range(top)]
+        total += c * sum(w * s for w, s in zip(weights, acc))
+    return Fraction(total, denominator)
+
+
+def _over_one_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers k_i and one d >= 1 with values[i] == k_i / d."""
+    values = list(values)
+    d = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (d // q.denominator) for q in values], d
 
 
 def _require_exact_polynomial(f: AnalyticFunction) -> Polynomial:
@@ -201,28 +259,30 @@ def check_identity_numeric(
 
 
 def exact_integral_value(x: PointSequence, f: Polynomial) -> Fraction:
-    """Exact iterated integral of V(t) * f^(n)(t_1 + ... + t_n) over R(x).
+    """Exact integral of V(t) * f^(n)(t_1 + ... + t_n) over R(x).
 
-    Expands V symbolically, composes the n-th derivative of f with the
-    coordinate sum, and integrates one coordinate at a time between the
-    rational bounds x_i and x_{i+1}.
+    Every bound of R(x) is a rational constant, so the integral is one
+    pass over the terms of the expanded V: per-axis moment tables of the
+    box, combined with the coefficients of f^(n) by the multinomial
+    theorem (see _box_integral).  The product V * f^(n)(sum t) is never
+    expanded.
     """
     if not x.is_exact:
         raise ValueError("the exact pipeline needs rational points")
     f = _require_exact_polynomial(f)
     n = x.n
-    tvars = var_family("t", n)
-    value = vandermonde_poly(n, "t") * f.derivative(n).compose(_sum_poly(tvars))
-    return _integrate_box(value, tvars, x.intervals).as_constant()
+    return _box_integral(
+        vandermonde_poly(n, "t"), var_family("t", n), x.intervals, f.derivative(n).coeffs
+    )
 
 
 def check_identity_exact(
     x: PointSequence, f: Polynomial, *, seed: int | None = None
 ) -> IdentityReport:
-    """Exact check: iterated symbolic integration vs. the rational table.
+    """Exact check: the box integral by moments vs. the rational table.
 
-    Integrates V(t) * f^(n)(t_1 + ... + t_n) coordinate by coordinate with
-    the rational bounds x_i, then compares with V(x) times the divided
+    Integrates V(t) * f^(n)(t_1 + ... + t_n) over R(x) exactly, by
+    exact_integral_value, then compares with V(x) times the divided
     difference at y.  The two sides must agree as exact rationals.
     """
     lhs = exact_integral_value(x, f)
@@ -251,9 +311,10 @@ def check_volume_symbolic(n: int) -> IdentityReport:
         raise ValueError("dimension must be at least 1")
     xvars = var_family("x", n + 1)
     xs = [MultiPoly.variable(v) for v in xvars]
-    value = _integrate_box(
-        vandermonde_poly(n, "t"), var_family("t", n), zip(xs, xs[1:])
-    )
+    # the bounds are polynomials, so integrate one axis at a time
+    value = vandermonde_poly(n, "t")
+    for v, a, b in zip(var_family("t", n), xs, xs[1:]):
+        value = value.integrate(v, a, b)
     rhs = vandermonde_poly(n + 1, "x", limit=n + 1) * Fraction(
         1, math.factorial(n)
     )
@@ -344,7 +405,7 @@ def _box_integral_of_mixed_derivative(phi: MultiPoly, tvars, bounds) -> Fraction
     value = phi
     for v in tvars:
         value = value.diff(v)
-    return _integrate_box(value, tvars, bounds).as_constant()
+    return _box_integral(value, tvars, bounds)
 
 
 def check_vertex_sum(

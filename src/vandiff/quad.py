@@ -117,7 +117,11 @@ def integrate_over_rectangle(
     Its result must broadcast to the slab's grid (order,)*m, so a lower-rank
     value, such as a plain function of one axis, is allowed.  A numpy
     overflow in the integrand or in a slab's sum raises FloatingPointError.
+    At most min(workers, number of slabs) threads sum the slabs; workers
+    below 1 raise ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     rule = gauss_legendre(order)
     n = len(intervals)
     total = order**n
@@ -157,6 +161,7 @@ def integrate_over_rectangle(
             return w * float(np.sum(slab_weights * integrand(*lead, *trailing)))
 
     slabs = itertools.product(range(order), repeat=k)  # lexicographic order
+    workers = min(workers, order**k)  # no thread without a slab to sum
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(slab_sum, slabs))

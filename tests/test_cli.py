@@ -125,6 +125,22 @@ def test_theorem1_symbolic_half_square():
     assert rec["config"]["pipeline"] == "exact"
 
 
+def test_theorem1_symbolic_at_the_symbolic_cap():
+    # n = 6 is the largest exact case the symbolic cap allows
+    proc = run_cli(
+        "theorem1",
+        "--symbolic",
+        "--x",
+        "0,1/2,1,3/2,2,5/2,3",
+        "--function",
+        "poly:1,2,3,4,5,6,7,8,9,10",
+    )
+    assert proc.returncode == 0, proc.stderr
+    (rec,) = json_lines(proc)
+    assert rec["n"] == 6 and rec["passed"] is True
+    assert rec["lhs"] == rec["rhs"] == "7729216425/1024"
+
+
 def test_theorem1_floating_exponential():
     proc = run_cli(
         "theorem1", "--x", "0,1,2", "--function", "exp:1", "--order", "24"
@@ -174,6 +190,12 @@ def test_integral_symbolic_value():
     (rec,) = json_lines(proc)
     assert rec["pipeline"] == "exact"
     assert rec["value"] == "1/2"
+
+
+def test_integral_symbolic_is_zero_below_degree_n():
+    proc = run_cli("integral", "--x", "0,1,2", "--function", "poly:1,2", "--symbolic")
+    assert proc.returncode == 0, proc.stderr
+    assert '"value":"0"' in proc.stdout
 
 
 def test_integral_floating_reports_grid():
@@ -412,6 +434,14 @@ def test_worker_count_never_changes_bytes():
     for w in ("4", "7"):
         got = run_cli(*base, "--workers", w, binary=True)
         assert got.stdout == ref.stdout
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exit_2(workers):
+    proc = run_cli("theorem1", "--x", "0,1,2", "--function", "exp:1", "--workers", workers)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: --workers must be at least 1, got {workers}\n"
 
 
 # -- usage ------------------------------------------------------------------------------

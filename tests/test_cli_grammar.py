@@ -168,6 +168,8 @@ EDGE_INPUTS = [
     (["integral", "--x=0,1,2", "--function=exp:800"], {}),
     (["integral", "--x=0,1,2", "--function=exp:800", "--format=csv"], {}),
     (["integral", "--x=0,1,2", "--function=exp:800", "--format=text"], {}),
+    (["theorem1", "--x=0,1,2", "--function=exp:1", "--workers=0"], {}),
+    (["integral", "--x=0,1,2", "--function=exp:1", "--workers=0"], {}),
 ]
 
 

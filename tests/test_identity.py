@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vandiff import identity
 from vandiff.divdiff import divided_difference
@@ -75,6 +76,75 @@ def test_exact_integral_value_is_fundamental_theorem_for_n1():
     x = PointSequence.exact([0, 1])
     assert exact_integral_value(x, monomial(5)) == 1
     assert exact_integral_value(x, Polynomial((3, 2))) == 2
+
+
+def iterated_box_integral(p, tvars, bounds, g):
+    """The reference route: expand p * g(t_1 + ... + t_n), then integrate
+    one axis at a time between its bounds."""
+    s = MultiPoly.zero()
+    for v in tvars:
+        s = s + tp(v)
+    g_of_s = MultiPoly.zero()
+    for c in reversed(g):
+        g_of_s = g_of_s * s + c
+    value = p * g_of_s
+    for v, (a, b) in zip(tvars, bounds):
+        value = value.integrate(v, a, b)
+    return value.as_constant()
+
+
+# ints, and rationals with denominators up to 100, negative or straddling 0
+_bound = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=100),
+)
+_coefficient = st.fractions(min_value=-10, max_value=10, max_denominator=100)
+
+
+@st.composite
+def box_integral_cases(draw):
+    n = draw(st.integers(1, 4))
+    tvars = var_family("t", n)
+    p = MultiPoly.zero()
+    for _ in range(draw(st.integers(0, 4))):  # 0 terms is p = 0
+        term = MultiPoly.const(draw(_coefficient))
+        for v in tvars:
+            term = term * tp(v) ** draw(st.integers(0, 3))
+        p = p + term
+    g = draw(st.lists(_coefficient, min_size=0, max_size=5))  # [] is g = 0
+    bounds = [(draw(_bound), draw(_bound)) for _ in tvars]
+    return p, tvars, bounds, g
+
+
+@settings(max_examples=150)
+@given(box_integral_cases())
+def test_box_integral_equals_iterated_integration(case):
+    p, tvars, bounds, g = case
+    value = identity._box_integral(p, tvars, bounds, g)
+    assert isinstance(value, Fraction)
+    assert value == iterated_box_integral(p, tvars, bounds, g)
+
+
+def test_box_integral_of_zero_is_zero():
+    tvars = var_family("t", 2)
+    box = [(0, 1), (Fraction(-1, 3), 2)]
+    assert identity._box_integral(MultiPoly.zero(), tvars, box, (1, 2)) == 0
+    assert identity._box_integral(tp(tvars[0]), tvars, box, ()) == 0
+
+
+def test_box_integral_rejects_foreign_variables_and_float_bounds():
+    t1 = var_family("t", 1)[0]
+    x1 = var_family("x", 1)[0]
+    with pytest.raises(ValueError, match="x1"):
+        identity._box_integral(tp(x1), [t1], [(0, 1)])
+    with pytest.raises(TypeError):
+        identity._box_integral(tp(t1), [t1], [(0.0, 1)])
+
+
+def test_exact_integral_value_is_zero_below_degree_n():
+    # f^(n) vanishes when deg f < n
+    x = PointSequence.exact([0, 1, 2])
+    assert exact_integral_value(x, Polynomial((1, 2))) == 0
 
 
 def test_exact_pipeline_rejects_wrong_inputs():
@@ -216,6 +286,12 @@ def test_vertex_sum_n2_product():
     t1, t2 = var_family("t", 2)
     report = check_vertex_sum([(Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))], tp(t1) * tp(t2))
     assert report.passed and report.lhs == 1
+
+
+def test_vertex_sum_accepts_int_bounds():
+    t1, t2 = var_family("t", 2)
+    report = check_vertex_sum([(0, 1), (-2, 3)], tp(t1) ** 2 * tp(t2) ** 3)
+    assert report.passed and report.lhs == 35  # (1 - 0) * (27 + 8)
 
 
 def test_zero_property_function():

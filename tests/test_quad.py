@@ -153,6 +153,42 @@ def test_worker_count_does_not_change_the_bits():
             assert multi.value == single.value  # bitwise, not approx
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        integrate_over_rectangle(rect(0, 1, 2), lambda *t: t[0], 8, workers=workers)
+
+
+def test_pool_is_no_larger_than_the_slab_count(monkeypatch):
+    sizes = []
+
+    class PoolSpy:
+        """Stands in for ThreadPoolExecutor: records max_workers, maps
+        serially, starts no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(quad, "ThreadPoolExecutor", PoolSpy)
+    # order 20 in 4-D: 20^3 nodes in a slab, 20 slabs; in 2-D one slab
+    box4 = rect(0, 1, 2, 3, 4)
+    single = integrate_over_rectangle(box4, lambda *t: t[0] * t[3], 20)
+    for workers in (3, 10**9):
+        got = integrate_over_rectangle(box4, lambda *t: t[0] * t[3], 20, workers=workers)
+        assert got.value == single.value
+    integrate_over_rectangle(rect(0, 1, 2), lambda *t: t[0], 20, workers=4)
+    assert sizes == [3, 20]
+
+
 def reference_cubature(intervals, integrand, order):
     """The plain tensor-product rule, one node at a time."""
     rule = gauss_legendre(order)
