@@ -17,6 +17,12 @@ calculus operations.  One accumulator, `_collect`, merges equal monomials
 and drops every term that cancels to 0; that invariant is what makes
 `is_zero` a proof that an identity holds.
 
+The hot loops run on integers.  `eval` puts the point and the
+coefficients over one denominator each, sums integer numerators per total
+degree in one pass over the terms, and builds one Fraction at the end;
+`diff(v, k)` is one pass that multiplies each coefficient by the falling
+factorial e(e-1)...(e-k+1) and lowers v's exponent in place.
+
 Variables are (family, index) pairs ordered family-first, so the
 t-family sorts before the x-family and rendered output is deterministic:
 terms are emitted in graded-lexicographic order (total degree first,
@@ -25,6 +31,7 @@ then exponent vectors with the earliest variable most significant).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -67,6 +74,13 @@ def _coeff(value: CoeffLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"exact coefficient required (int or Fraction), got {type(value).__name__}")
+
+
+def _over_one_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers k_i and one d >= 1 with values[i] == k_i / d."""
+    values = list(values)
+    d = math.lcm(*(q.denominator for q in values))
+    return [q.numerator * (d // q.denominator) for q in values], d
 
 
 def _collect(pairs: Iterable[tuple[Monomial, Fraction]], into: Terms | None = None) -> Terms:
@@ -244,18 +258,24 @@ class MultiPoly:
     # diff and antiderivative keep distinct monomials distinct: no merging
 
     def diff(self, v: VarId, order: int = 1) -> MultiPoly:
-        """Exact partial derivative with respect to v, iterated `order` times."""
+        """Exact partial derivative with respect to v, iterated `order` times.
+
+        One pass: a term with v^e, e >= order, becomes e!/(e-order)! times
+        the term with v^(e-order); every other term drops out.
+        """
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        p = self
-        for _ in range(order):
-            out: Terms = {}
-            for mono, c in p._terms.items():
-                e, rest = _split(mono, v)
-                if e:
-                    out[_mono_mul(rest, ((v, e - 1),)) if e > 1 else rest] = c * e
-            p = MultiPoly._raw(out)
-        return p
+        if not order:
+            return self
+        out: Terms = {}
+        for mono, c in self._terms.items():
+            for i, (w, e) in enumerate(mono):
+                if w == v:
+                    if e >= order:
+                        kept = ((v, e - order),) if e > order else ()
+                        out[mono[:i] + kept + mono[i + 1 :]] = c * math.perm(e, order)
+                    break
+        return MultiPoly._raw(out)
 
     def antiderivative(self, v: VarId) -> MultiPoly:
         """Antiderivative in v with zero constant of integration."""
@@ -300,18 +320,41 @@ class MultiPoly:
         )
 
     def eval(self, assignment: Mapping[VarId, CoeffLike]) -> Fraction:
-        """Exact value at a rational point covering every variable."""
+        """Exact value at a rational point covering every variable.
+
+        One integer pass: the used variables' values are numerators over
+        one denominator d, and the coefficients over another.  Each term
+        adds its integer numerator to the sum S_deg of its total degree;
+        the value is sum_deg S_deg * d^(top - deg) over c_den * d^top.
+        """
         values = {v: _coeff(c) for v, c in assignment.items()}
-        missing = [v for v in self.variables() if v not in values]
+        top: dict[VarId, int] = {}  # used variable -> its largest exponent
+        for mono in self._terms:
+            for v, e in mono:
+                if e > top.get(v, 0):
+                    top[v] = e
+        missing = [v for v in top if v not in values]
         if missing:
             raise MissingVariableError(missing)
-        total = Fraction(0)
-        for mono, c in self._terms.items():
-            term = c
+        nums, d = _over_one_denominator(values[v] for v in top)
+        powers = {}  # v -> [1, k, k^2, ..] with values[v] == k / d
+        for (v, e), k in zip(top.items(), nums):
+            row = [1]
+            for _ in range(e):
+                row.append(row[-1] * k)
+            powers[v] = row
+        coeffs, c_den = _over_one_denominator(self._terms.values())
+        sums = [0] * (sum(top.values()) + 1)
+        for mono, c in zip(self._terms, coeffs):
+            deg = 0
             for v, e in mono:
-                term *= values[v] ** e
-            total += term
-        return total
+                c *= powers[v][e]
+                deg += e
+            sums[deg] += c
+        total = 0
+        for s in sums:  # Horner in d, lowest degree first
+            total = total * d + s
+        return Fraction(total, c_den * d ** (len(sums) - 1))
 
     # -- rendering -------------------------------------------------------------
 

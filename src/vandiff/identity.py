@@ -24,7 +24,7 @@ from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .divdiff import divided_difference, divided_difference_side
-from .exact import MultiPoly, VarId, _coeff, var_family
+from .exact import MultiPoly, VarId, _coeff, _over_one_denominator, var_family
 from .funcs import AnalyticFunction, Polynomial
 from .points import PointSequence, monotone_vertices, x_from_y, y_from_x
 from .quad import DEFAULT_BUDGET, integral_side
@@ -201,13 +201,6 @@ def _box_integral(p: MultiPoly, tvars: Sequence[VarId], bounds, g=(1,)) -> Fract
             acc = [sum(acc[k - j] * row[j] for j in range(k + 1)) for k in range(top)]
         total += c * sum(w * s for w, s in zip(weights, acc))
     return Fraction(total, denominator)
-
-
-def _over_one_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integers k_i and one d >= 1 with values[i] == k_i / d."""
-    values = list(values)
-    d = math.lcm(*(q.denominator for q in values))
-    return [q.numerator * (d // q.denominator) for q in values], d
 
 
 def _require_exact_polynomial(f: AnalyticFunction) -> Polynomial:
@@ -744,6 +737,9 @@ def _reduced_vertex_sum_case(rng: random.Random, tvars, seed: int) -> IdentityRe
     return check_reduced_vertex_sum(x, random_poly(rng, tvars), seed=seed)
 
 
+# the largest n_max the lemma suite accepts
+MAX_LEMMA_N = 7
+
 # group name -> suite(n_max, seed, cases), in report order
 _LEMMA_SUITES = {
     "esym-derivative": _suite_esym,
@@ -775,11 +771,14 @@ def run_lemma_suite(
     subset of groups reproduces exactly the cases the full run would have
     generated for them.  n_max and cases must be at least 1, and groups
     must name at least one group: with fewer, the suite would check
-    nothing and still pass.
+    nothing and still pass.  n_max is at most MAX_LEMMA_N: the suites
+    expand V_n past the symbolic cap, and V_n has n! terms.
     """
     for name, value in (("n_max", n_max), ("cases", cases)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if n_max > MAX_LEMMA_N:
+        raise ValueError(f"n_max must be at most {MAX_LEMMA_N}, got {n_max}")
     chosen = LEMMA_GROUPS if groups is None else tuple(groups)
     unknown = [g for g in chosen if g not in LEMMA_GROUPS]
     if unknown or not chosen:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Sequence, Union
 
-from .exact import MultiPoly, VarId, var_family
+from .exact import MultiPoly, VarId, _collect, var_family
 
 DEFAULT_SYMBOLIC_LIMIT = 6
 
@@ -61,14 +61,14 @@ def omega(roots: Sequence[MultiPoly], t: VarId) -> MultiPoly:
     return result
 
 
-@lru_cache(maxsize=None)
 def vandermonde_poly(n: int, family: str = "t", limit: int | None = None) -> MultiPoly:
     """The expanded pairwise-difference product on n family variables.
 
     Degree n(n-1)/2 with n! monomials; n=1 gives the empty product 1.
     Rejects n above the symbolic cap (default 6) unless a larger limit is
-    passed explicitly.  Cached: the result is immutable, and suites
-    request the same expansion many times.
+    passed explicitly.  Cached once per (n, family), however the call is
+    spelled: the result is immutable, and suites request the same
+    expansion many times.
     """
     if n < 1:
         raise ValueError("need at least one variable")
@@ -77,6 +77,11 @@ def vandermonde_poly(n: int, family: str = "t", limit: int | None = None) -> Mul
         raise SymbolicLimitError(
             f"expanded difference product for n={n} exceeds the symbolic cap {cap}"
         )
+    return _expand_vandermonde(n, family)
+
+
+@lru_cache(maxsize=None)
+def _expand_vandermonde(n: int, family: str) -> MultiPoly:
     ts = [MultiPoly.variable(v) for v in var_family(family, n)]
     result = MultiPoly.one()
     for i in range(n):
@@ -118,21 +123,39 @@ OperatorKind = Union[PureSum, MixedSum]
 
 
 def apply_operator(op: OperatorKind, p: MultiPoly, variables: Sequence[VarId]) -> MultiPoly:
-    """Apply P_k or E_k to p with respect to an ordered variable list."""
+    """Apply P_k or E_k to p with respect to a list of distinct variables.
+
+    P_k sums diff(v, k) over the variables.  E_k is one pass over p's
+    terms: for every k-subset of a term's variables that are in the list,
+    the coefficient is multiplied by their exponents and each of those
+    exponents is lowered by one.
+    """
     n = len(variables)
     if not 1 <= op.k <= n:
         raise ValueError(f"operator order k={op.k} outside 1..{n}")
-    result = MultiPoly.zero()
+    wanted = set(variables)
+    if len(wanted) != n:
+        raise ValueError("operator variables must be distinct")
     if isinstance(op, PureSum):
+        result = MultiPoly.zero()
         for v in variables:
             result = result + p.diff(v, op.k)
-    else:
-        for subset in combinations(variables, op.k):
-            q = p
-            for v in subset:
-                q = q.diff(v)
-            result = result + q
-    return result
+        return result
+    return MultiPoly._raw(_collect(_mixed_partials(op.k, p, wanted)))
+
+
+def _mixed_partials(k: int, p: MultiPoly, wanted: set[VarId]):
+    """(monomial, coefficient) of d^k/dt_S p for every term and k-subset S."""
+    for mono, c in p.terms().items():
+        hits = [i for i, (v, _) in enumerate(mono) if v in wanted]
+        for chosen in combinations(hits, k):
+            lowered = list(mono)
+            factor = 1
+            for i in chosen:
+                v, e = mono[i]
+                factor *= e
+                lowered[i] = (v, e - 1)
+            yield tuple(pair for pair in lowered if pair[1]), c * factor
 
 
 def enumerate_vertices(bounds: Sequence[tuple]) -> list[tuple[tuple[int, ...], tuple]]:

@@ -285,6 +285,28 @@ def test_verify_lemmas_rejects_counts_below_one(argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+def test_verify_lemmas_n_max_above_seven_exit_2_at_once():
+    # V_n has n! terms and the suites expand it past the symbolic cap, so
+    # a larger n_max is refused before any work, not left to run
+    proc = subprocess.run(
+        BASE + ["verify-lemmas", "--n-max", "8"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: n_max must be at most 7, got 8\n"
+
+
+def test_verify_lemmas_n_max_seven_is_accepted():
+    proc = run_cli("verify-lemmas", "--n-max", "7", "--only", "pure-vanish")
+    assert proc.returncode == 0, proc.stderr
+    recs = json_lines(proc)
+    assert [r["name"] for r in recs] == [f"pure-vanish[n={n}]" for n in range(1, 8)]
+    assert all(r["passed"] for r in recs)
+
+
 # -- transform -----------------------------------------------------------------------
 
 

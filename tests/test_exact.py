@@ -233,6 +233,92 @@ def test_every_operation_keeps_the_canonical_form(a, b, q, r):
         assert_canonical(p)
 
 
+# -- the one-pass eval and diff against their definitions --------------------------
+
+values = st.one_of(
+    st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=30)
+)
+
+
+def eval_by_definition(p, point):
+    total = Fraction(0)
+    for mono, c in p.terms().items():
+        term = c
+        for v, e in mono:
+            term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
+def diff_by_definition(p, v):
+    out = MultiPoly.zero()
+    for mono, c in p.terms().items():
+        exps = dict(mono)
+        e = exps.get(v, 0)
+        if e:
+            exps[v] = e - 1
+            term = MultiPoly.const(c * e)
+            for w, f in exps.items():
+                term = term * tp(w) ** f
+            out = out + term
+    return out
+
+
+@given(polys(max_exp=5), st.lists(values, min_size=4, max_size=4))
+def test_eval_equals_the_term_loop(p, vals):
+    # X1 appears in no term: an extra assigned variable is ignored
+    point = dict(zip([T1, T2, T3, X1], vals))
+    got = p.eval(point)
+    assert isinstance(got, Fraction)
+    assert got == eval_by_definition(p, point)
+
+
+@given(st.one_of(st.just(0), coeffs), st.dictionaries(st.sampled_from(VARS), values))
+def test_eval_of_a_constant_is_the_constant(c, point):
+    got = MultiPoly.const(c).eval(point)
+    assert isinstance(got, Fraction) and got == c
+
+
+@given(polys(), st.sets(st.sampled_from(VARS)))
+def test_eval_names_exactly_the_missing_variables(p, assigned):
+    point = {v: Fraction(2, 3) for v in assigned}
+    missing = tuple(v for v in p.variables() if v not in assigned)
+    if not missing:
+        assert p.eval(point) == eval_by_definition(p, point)
+        return
+    with pytest.raises(MissingVariableError) as err:
+        p.eval(point)
+    assert err.value.missing == missing
+    assert str(err.value).endswith(", ".join(v.name for v in missing))
+
+
+def test_eval_rejects_float_values_even_when_unused():
+    for point in ({T1: 0.5}, {T1: 1, T2: 0.5}, {T2: 0.5}):
+        with pytest.raises(TypeError):
+            tp(T1).eval(point)
+
+
+@given(polys(max_exp=4), st.sampled_from(VARS + [X1]), st.integers(0, 6))
+def test_diff_of_order_k_equals_k_first_derivatives(p, v, k):
+    want = p
+    for _ in range(k):
+        want = diff_by_definition(want, v)
+    got = p.diff(v, k)
+    assert got == want
+    assert_canonical(got)
+
+
+@given(polys(max_exp=4), st.sampled_from(VARS))
+def test_diff_above_the_degree_is_zero_and_order_zero_is_identity(p, v):
+    assert p.diff(v, 0) == p
+    assert p.diff(v, p.degree_in(v) + 1).is_zero
+
+
+def test_diff_rejects_a_negative_order():
+    with pytest.raises(ValueError, match="non-negative"):
+        tp(T1).diff(T1, -1)
+
+
 def test_substitution_that_cancels_leaves_no_terms():
     p = (tp(T1) * tp(X1) - tp(T2) * tp(X1)).substitute(T1, tp(T2))
     assert p.is_zero and p.terms() == {} and p == 0

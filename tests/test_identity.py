@@ -395,6 +395,13 @@ def test_lemma_suite_unknown_group():
         run_lemma_suite(2, groups=["nosuch"])
 
 
+@pytest.mark.parametrize("n_max", [8, 12, 10**6])
+def test_lemma_suite_refuses_n_max_above_seven(n_max):
+    # refused before any group runs: V_12 alone would have 479M terms
+    with pytest.raises(ValueError, match=f"n_max must be at most 7, got {n_max}"):
+        run_lemma_suite(n_max, groups=["pure-vanish"])
+
+
 def test_lemma_suite_subset_reproduces_full_run_cases():
     full = run_lemma_suite(3, cases=3)
     only = run_lemma_suite(3, groups=["newton"], cases=3)

@@ -30,6 +30,12 @@ PINNED = [
         "ad8718a75d68b29ff9ee4d67bb889a4a8cf933f0a3f70f11d2ee2c08a8dcb816",
     ),
     (
+        # n = 5 and 6 run the eval, diff and E_k paths on V_5 and V_6
+        "verify-lemmas --n-max 6".split(),
+        227_952,
+        "db65052e7bcd53f76d93e89552539c773912885dd5d635529980fe1b65ee3af9",
+    ),
+    (
         "corollary --n-max 5".split(),
         52_656,
         "50c26b3519f013f42962aca0e05b782e3fc32f3a22c758c8d5921317aed4e8b1",

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from vandiff import symfun
 from vandiff.exact import MultiPoly, VarId, var_family
 from vandiff.points import PointSequence, monotone_vertices
 from vandiff.symfun import (
@@ -135,6 +136,22 @@ def test_vandermonde_poly_cap():
     # explicit limit raises the cap
     p = vandermonde_poly(7, limit=7)
     assert p.total_degree() == 21
+    # the expansion is cached now, and the cap still holds
+    with pytest.raises(SymbolicLimitError):
+        vandermonde_poly(7)
+
+
+def test_vandermonde_poly_is_expanded_once_however_it_is_called():
+    symfun._expand_vandermonde.cache_clear()
+    spellings = [
+        vandermonde_poly(5),
+        vandermonde_poly(5, "t"),
+        vandermonde_poly(5, "t", limit=5),
+        vandermonde_poly(5, family="t"),
+    ]
+    info = symfun._expand_vandermonde.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert all(p is spellings[0] for p in spellings)
 
 
 def test_vandermonde_poly_alternating_sign():
@@ -195,6 +212,46 @@ def test_pure_sum_k1_equals_mixed_sum_k1():
     a = apply_operator(PureSum(1), p, T[:3])
     b = apply_operator(MixedSum(1), p, T[:3])
     assert a == b
+
+
+def test_operator_variables_must_be_distinct():
+    p = tp(T[0]) * tp(T[1])
+    for op in (PureSum(1), MixedSum(2)):
+        with pytest.raises(ValueError, match="distinct"):
+            apply_operator(op, p, [T[0], T[0]])
+
+
+@st.composite
+def polys_on_four(draw):
+    p = MultiPoly.zero()
+    for _ in range(draw(st.integers(0, 6))):
+        term = MultiPoly.const(draw(st.fractions(-9, 9, max_denominator=7)))
+        for v in T[:4]:
+            term = term * tp(v) ** draw(st.integers(0, 3))
+        p = p + term
+    return p
+
+
+def mixed_sum_by_definition(k, p, variables):
+    result = MultiPoly.zero()
+    for subset in combinations(variables, k):
+        q = p
+        for v in subset:
+            q = q.diff(v)
+        result = result + q
+    return result
+
+
+@given(
+    polys_on_four(),
+    st.lists(st.sampled_from(T[:5]), min_size=1, max_size=5, unique=True),
+)
+def test_mixed_sum_equals_the_chain_of_subset_derivatives(p, variables):
+    # variables may be a strict subset of p's, or name T[4], which p lacks;
+    # k runs up to len(variables)
+    for k in range(1, len(variables) + 1):
+        got = apply_operator(MixedSum(k), p, variables)
+        assert got == mixed_sum_by_definition(k, p, variables)
 
 
 # -- rectangle vertices ------------------------------------------------------------
