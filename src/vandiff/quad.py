@@ -5,13 +5,15 @@ A box is given by its intervals, one (lower, upper) pair per axis, as
 
 Non-adaptive by design: the integrands are smooth on a box, the rule
 converges spectrally, and a fixed rule keeps output bit-reproducible.
-The node grid is cut into slabs, one per node of the leading axes; the
-trailing axes of a slab reach the integrand as broadcast views, so no
-node coordinate is gathered or copied.  Each slab is reduced with numpy's
-deterministic pairwise sum and the slab totals are combined with
-math.fsum, so the result is identical for any worker count.  An
-evaluation budget guards against infeasible order/dimension combinations
-instead of silently truncating.
+The node grid is cut into slabs, one per node of the leading axes.  An
+integrand has two stages: it is called once per integration with the
+trailing axes as broadcast views, so no node coordinate is gathered or
+copied and whatever depends on those axes alone is computed once; the
+slab function it returns is called once per slab with the leading-axis
+coordinates.  Each slab is reduced with numpy's deterministic pairwise
+sum and the slab totals are combined with math.fsum, so the result is
+identical for any worker count.  An evaluation budget guards against
+infeasible order/dimension combinations instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -111,14 +113,16 @@ def integrate_over_rectangle(
     the dimension n; each bound is converted to float.  The grid is
     integrated one slab at a time.  The trailing m axes, m the largest
     with order**m <= _CHUNK, span a slab; the k = n - m leading axes pick
-    it.  The integrand is called once per slab with one argument
-    per axis: a float for each leading axis, then for trailing axis j a
-    broadcast view of its nodes with shape (1,)*j + (order,) + (1,)*(m-1-j).
-    Its result must broadcast to the slab's grid (order,)*m, so a lower-rank
-    value, such as a plain function of one axis, is allowed.  A numpy
-    overflow in the integrand or in a slab's sum raises FloatingPointError.
-    At most min(workers, number of slabs) threads sum the slabs; workers
-    below 1 raise ValueError.
+    it.  The integrand has two stages.  It is called once per call of
+    this function, with one broadcast view per trailing axis j of shape
+    (1,)*j + (order,) + (1,)*(m-1-j), and returns a slab function.  That
+    is called once per slab with one float per leading axis, and its
+    result must broadcast to the slab's grid (order,)*m, so a lower-rank
+    value, such as a plain function of one axis, is allowed.  The slab
+    weight grid is likewise formed once.  An overflow in the weights, in
+    either stage of the integrand, in a slab's total or in their sum
+    raises FloatingPointError.  At most min(workers, number of slabs)
+    threads sum the slabs; workers below 1 raise ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -149,27 +153,39 @@ def integrate_over_rectangle(
         return (1,) * (axis - k) + (order,) + (1,) * (n - 1 - axis)
 
     trailing = [axis_nodes[i].reshape(view(i)) for i in range(k, n)]
-    slab_weights = axis_weights[k].reshape(view(k))
-    for i in range(k + 1, n):
-        slab_weights = slab_weights * axis_weights[i].reshape(view(i))
 
     def slab_sum(index: tuple[int, ...]) -> float:
         lead = [lead_nodes[i][j] for i, j in enumerate(index)]
         w = math.prod(lead_weights[i][j] for i, j in enumerate(index))
-        # errstate is per thread, so it is set in the thread that sums the slab
+        return w * float(np.sum(slab_weights * slab_integrand(*lead)))
+
+    def worker_slab_sum(index: tuple[int, ...]) -> float:
+        # errstate is per thread, so a worker sets it for each slab it sums
         with np.errstate(over="raise"):
-            return w * float(np.sum(slab_weights * integrand(*lead, *trailing)))
+            return slab_sum(index)
 
     slabs = itertools.product(range(order), repeat=k)  # lexicographic order
     workers = min(workers, order**k)  # no thread without a slab to sum
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(slab_sum, slabs))
-    else:
-        partials = [slab_sum(s) for s in slabs]
+    with np.errstate(over="raise"):
+        slab_weights = axis_weights[k].reshape(view(k))
+        for i in range(k + 1, n):
+            slab_weights = slab_weights * axis_weights[i].reshape(view(i))
+        slab_integrand = integrand(*trailing)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                partials = list(pool.map(worker_slab_sum, slabs))
+        else:
+            partials = [slab_sum(s) for s in slabs]
+    # a slab total times its leading weights is a Python float, which
+    # overflows to inf without raising
+    if not all(map(math.isfinite, partials)):
+        raise FloatingPointError("a slab total overflows the float range")
     # fsum is exactly rounded, so combining fixed slab totals cannot
     # depend on how slabs were assigned to workers
-    return CubatureResult(math.fsum(partials), total)
+    try:
+        return CubatureResult(math.fsum(partials), total)
+    except OverflowError:
+        raise FloatingPointError("the slab totals overflow the float range") from None
 
 
 def integral_side(
@@ -183,9 +199,12 @@ def integral_side(
     """Integral side of the main identity: the pairwise-difference product
     times the n-th derivative of f at the coordinate sum, over R(x).
 
-    The difference product is evaluated at each node by
-    `vandermonde_product`, a running product of the n(n-1)/2 pairwise
-    differences, not via the expanded polynomial.
+    The difference product is evaluated at each node in product form, not
+    via the expanded polynomial.  Once per call, `vandermonde_product`
+    gives the differences among the trailing axes and their coordinate sum
+    is formed; per slab, the differences that involve a leading axis are
+    vectors along one trailing axis each, and their outer product is the
+    only other grid the difference product needs.
     """
     n = x.n
     if n > MAX_DIMENSION:
@@ -200,11 +219,30 @@ def integral_side(
                 f"pole {pole} lies inside the coordinate-sum range [{lo}, {hi}]"
             )
 
-    def integrand(*ts):
-        s = ts[0]
-        for t in ts[1:]:
-            s = s + t
-        return vandermonde_product(ts) * fn(s)
+    def integrand(*trailing):
+        diffs = vandermonde_product(trailing)
+        total = trailing[0]
+        for t in trailing[1:]:
+            total = total + t
+
+        def slab(*lead):
+            if not lead:
+                return diffs * fn(total)
+            # prod_i (u_j - l_i) for each trailing axis u_j, leading axes first
+            factors = []
+            for u in trailing:
+                g = u - lead[0]
+                for t in lead[1:]:
+                    g *= u - t
+                factors.append(g)
+            factors[0] *= vandermonde_product(lead)
+            grid = factors[0]
+            for g in factors[1:]:
+                grid = grid * g
+            grid *= diffs
+            return grid * fn(sum(lead) + total)
+
+        return slab
 
     try:
         return integrate_over_rectangle(
@@ -212,5 +250,5 @@ def integral_side(
         )
     except FloatingPointError:
         raise OverflowError(
-            f"the integrand for {f.describe()} overflows the float range"
+            f"the cubature for {f.describe()} overflows the float range"
         ) from None

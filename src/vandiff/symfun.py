@@ -93,7 +93,9 @@ def _expand_vandermonde(n: int, family: str) -> MultiPoly:
 def vandermonde_product(values: Sequence) -> Union[Fraction, float]:
     """prod_{i<j} (v_j - v_i) evaluated directly, no expansion, no cap.
 
-    Exact on Fractions, floating on floats; returns 1 for a single value.
+    Exact on Fractions, floating on floats, and elementwise on numpy
+    arrays that broadcast together, such as the cubature's per-axis node
+    views; returns 1 for a single value.
     """
     acc = None
     for i in range(len(values)):

@@ -1,6 +1,8 @@
 """Black-box CLI tests through `python -m vandiff`, and a count of the
 options each command's parser takes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ import sys
 
 import pytest
 
-from vandiff.cli import build_parser
+from vandiff.cli import build_parser, main
 from vandiff.identity import LEMMA_GROUPS
 
 BASE = [sys.executable, "-m", "vandiff"]
@@ -456,6 +458,25 @@ def test_worker_count_never_changes_bytes():
     for w in ("4", "7"):
         got = run_cli(*base, "--workers", w, binary=True)
         assert got.stdout == ref.stdout
+
+
+@pytest.mark.parametrize("function", ["exp:1", "sin:1,0", "recip:10"])
+def test_worker_count_never_changes_bytes_across_slabs(monkeypatch, function):
+    # six points make n = 5, which order 20 cuts into 400 slabs, so the
+    # worker threads do start
+    for name in ("VANDIFF_ORDER", "VANDIFF_TOLERANCE", "VANDIFF_SEED", "VANDIFF_BUDGET"):
+        monkeypatch.delenv(name, raising=False)
+    outputs = []
+    for workers in ("1", "2", "3"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(
+                ["theorem1", "--x=-1.5,-0.7,0.1,0.8,1.6,2.4", "--function", function,
+                 "--workers", workers]
+            )
+        assert code == 0
+        outputs.append(out.getvalue())
+    assert outputs == [outputs[0]] * 3
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

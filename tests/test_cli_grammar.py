@@ -215,6 +215,19 @@ OVERFLOW_INPUTS = [
     ),
     (["theorem1", "--x=0,1,2,3", "--function=sin:5e102"], "sin:5e+102"),
     (["integral", "--x=0,1,2,3", "--function=sin:5e102", "--workers=2"], "sin:5e+102"),
+    # the box's weights overflow before the integrand does
+    (["theorem1", "--x=1e200,2e200,3e200", "--function=poly:0,0,1"], "poly:0,0,1"),
+    (["theorem1", "--x=1e200,2e200,3e200", "--function=exp:0"], "exp:0"),
+    (["integral", "--x=1e200,2e200,3e200", "--function=poly:0,0,1"], "poly:0,0,1"),
+    (
+        ["divdiff", "--points=1e200,2e200,3e200", "--function=poly:0,0,1", "--via-integral"],
+        "poly:0,0,1",
+    ),
+    # a slab total is finite, and its product with the leading weights is not
+    (
+        ["integral", "--x=1e22,2e22,3e22,4e22,5e22,6e22", "--function=poly:0,0,0,0,0,1"],
+        "poly:0,0,0,0,0,1",
+    ),
 ]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from vandiff import quad
-from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal
+from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal, Sine
 from vandiff.points import PointSequence
 from vandiff.quad import (
     MAX_DIMENSION,
@@ -19,10 +19,21 @@ from vandiff.quad import (
     integral_side,
     integrate_over_rectangle,
 )
+from vandiff.symfun import vandermonde_product
 
 
 def rect(*vals):
     return PointSequence.floating(vals).intervals
+
+
+def cubature(intervals, integrand, order, **kwargs):
+    """`integrate_over_rectangle` for a plain integrand of all n axes: its
+    slab function passes the leading axes, then the trailing views."""
+
+    def first_stage(*trailing):
+        return lambda *lead: integrand(*lead, *trailing)
+
+    return integrate_over_rectangle(intervals, first_stage, order, **kwargs)
 
 
 # -- one-dimensional rules ----------------------------------------------------------
@@ -96,13 +107,13 @@ def test_order_out_of_range():
 
 
 def test_constant_over_unit_interval():
-    got = integrate_over_rectangle(rect(0, 1), lambda t: np.ones_like(t), 4)
+    got = cubature(rect(0, 1), lambda t: np.ones_like(t), 4)
     assert got.value == pytest.approx(1.0, abs=1e-15)
     assert got.function_evaluations == 4
 
 
 def test_difference_over_box():
-    got = integrate_over_rectangle(rect(0, 1, 2), lambda t1, t2: t2 - t1, 6)
+    got = cubature(rect(0, 1, 2), lambda t1, t2: t2 - t1, 6)
     assert got.value == pytest.approx(1.0, rel=1e-14)
     assert got.function_evaluations == 36
 
@@ -112,25 +123,25 @@ def test_polynomial_integrand_is_exact_at_low_order():
     def integrand(t1, t2):
         return (t1**3 - 2 * t1) * (3 * t2**2 + 1)
 
-    lo = integrate_over_rectangle(rect(0, 1, 2), integrand, 2)
-    hi = integrate_over_rectangle(rect(0, 1, 2), integrand, 12)
+    lo = cubature(rect(0, 1, 2), integrand, 2)
+    hi = cubature(rect(0, 1, 2), integrand, 12)
     assert lo.value == pytest.approx(hi.value, rel=1e-13)
 
 
 def test_known_closed_form_in_three_dimensions():
     # integral of t1*t2*t3 over [0,1]^3 = 1/8
-    got = integrate_over_rectangle(((0.0, 1.0),), lambda t: t, 8)
+    got = cubature(((0.0, 1.0),), lambda t: t, 8)
     assert got.value == pytest.approx(0.5, rel=1e-14)
     box = rect(0, 1)
     prod = 1.0
     for _ in range(3):
-        prod *= integrate_over_rectangle(box, lambda t: t, 8).value
+        prod *= cubature(box, lambda t: t, 8).value
     assert prod == pytest.approx(1 / 8, rel=1e-13)
 
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
-        integrate_over_rectangle(rect(0, 1, 2, 3), lambda *t: t[0], 10, budget=999)
+        cubature(rect(0, 1, 2, 3), lambda *t: t[0], 10, budget=999)
 
 
 def test_worker_count_does_not_change_the_bits():
@@ -147,16 +158,36 @@ def test_worker_count_does_not_change_the_bits():
     ]
     for xs, integrand in cases:
         box = PointSequence.floating(xs).intervals
-        single = integrate_over_rectangle(box, integrand, 20, workers=1)
+        single = cubature(box, integrand, 20, workers=1)
         for workers in (2, 4, 7):
-            multi = integrate_over_rectangle(box, integrand, 20, workers=workers)
+            multi = cubature(box, integrand, 20, workers=workers)
             assert multi.value == single.value  # bitwise, not approx
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        rect(1e200, 2e200, 3e200),  # the slab weights
+        rect(0, 4, 5, 6, 7),  # the sum of 20 finite slab totals
+        rect(0, 2000, 2001, 2002, 2003),  # a slab total times its leading weight
+    ],
+)
+def test_overflow_raises_floating_point_error(box):
+    with pytest.raises(FloatingPointError):
+        cubature(box, lambda *t: 1e308, 20)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflow_in_a_slab_raises_in_every_thread(workers):
+    # order 20 in 4-D: 20 slabs, so two workers sum them in threads
+    with pytest.raises(FloatingPointError):
+        cubature(rect(0, 1, 2, 3, 4), lambda *t: t[-1] * 1e308, 20, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
 def test_workers_below_one_rejected(workers):
     with pytest.raises(ValueError, match="workers must be at least 1"):
-        integrate_over_rectangle(rect(0, 1, 2), lambda *t: t[0], 8, workers=workers)
+        cubature(rect(0, 1, 2), lambda *t: t[0], 8, workers=workers)
 
 
 def test_pool_is_no_larger_than_the_slab_count(monkeypatch):
@@ -181,11 +212,11 @@ def test_pool_is_no_larger_than_the_slab_count(monkeypatch):
     monkeypatch.setattr(quad, "ThreadPoolExecutor", PoolSpy)
     # order 20 in 4-D: 20^3 nodes in a slab, 20 slabs; in 2-D one slab
     box4 = rect(0, 1, 2, 3, 4)
-    single = integrate_over_rectangle(box4, lambda *t: t[0] * t[3], 20)
+    single = cubature(box4, lambda *t: t[0] * t[3], 20)
     for workers in (3, 10**9):
-        got = integrate_over_rectangle(box4, lambda *t: t[0] * t[3], 20, workers=workers)
+        got = cubature(box4, lambda *t: t[0] * t[3], 20, workers=workers)
         assert got.value == single.value
-    integrate_over_rectangle(rect(0, 1, 2), lambda *t: t[0], 20, workers=4)
+    cubature(rect(0, 1, 2), lambda *t: t[0], 20, workers=4)
     assert sizes == [3, 20]
 
 
@@ -205,8 +236,9 @@ def reference_cubature(intervals, integrand, order):
     return math.fsum(terms)
 
 
-# (n, order, slab size bound, k leading axes): the integrand is called
-# order**k times; a small bound reaches k = 2 on a grid the reference can walk
+# (n, order, slab size bound, k leading axes): the integrand's first stage
+# is called once and its slab function order**k times; a small bound
+# reaches k = 2 on a grid the reference can walk
 SLAB_CASES = [
     (1, 9, quad._CHUNK, 0),
     (2, 20, quad._CHUNK, 0),
@@ -234,12 +266,17 @@ def test_slabs_match_the_plain_tensor_rule(monkeypatch, n, order, chunk, k, name
     integrand = INTEGRANDS[name]
     calls = []
 
-    def counted(*t):
-        calls.append(len(t))
-        return integrand(*t)
+    def counted(*trailing):
+        calls.append(("first", len(trailing)))
+
+        def slab(*lead):
+            calls.append(("slab", len(lead) + len(trailing)))
+            return integrand(*lead, *trailing)
+
+        return slab
 
     got = integrate_over_rectangle(box, counted, order)
-    assert len(calls) == order**k and set(calls) == {n}
+    assert calls == [("first", n - k)] + [("slab", n)] * order**k
     want = reference_cubature(box, integrand, order)
     assert got.value == pytest.approx(want, rel=1e-14)
     assert got.function_evaluations == order**n
@@ -254,7 +291,7 @@ def test_no_call_sees_more_than_one_chunk():
 
     for n in range(1, MAX_DIMENSION + 1):
         sizes.clear()
-        integrate_over_rectangle(rect(*range(n + 1)), spy, 10)
+        cubature(rect(*range(n + 1)), spy, 10)
         assert max(sizes) <= quad._CHUNK
         assert sum(sizes) == 10**n  # the slabs tile the grid
 
@@ -274,6 +311,50 @@ def test_two_dimensional_volume_case():
     f = Polynomial((0, 0, Fraction(1, 2)))
     got = integral_side(PointSequence.floating([0, 1, 2]), f, 10)
     assert got.value == pytest.approx(1.0, rel=1e-13)
+
+
+# (n, order, slab size bound, k leading axes); the last case leaves a
+# single trailing axis
+SIDE_CASES = [
+    (1, 9, quad._CHUNK, 0),
+    (3, 6, quad._CHUNK, 0),
+    (3, 4, 16, 1),
+    (4, 3, 9, 2),
+    (5, 3, 27, 2),
+    (4, 3, 3, 3),
+]
+
+SIDE_FUNCTIONS = [
+    Exponential(1.0),
+    Sine(1.0, 0.0),
+    Reciprocal(10.0),
+    Polynomial((1, -2, Fraction(1, 2), 3, 0, 1, -1, 2)),
+]
+
+
+@pytest.mark.parametrize("f", SIDE_FUNCTIONS, ids=lambda f: f.describe())
+@pytest.mark.parametrize("n, order, chunk, k", SIDE_CASES)
+def test_integral_side_matches_the_per_node_integrand(monkeypatch, n, order, chunk, k, f):
+    monkeypatch.setattr(quad, "_CHUNK", chunk)
+    trailing_products = []
+
+    def spy(values):
+        trailing_products.append(isinstance(values[0], np.ndarray))
+        return vandermonde_product(values)
+
+    monkeypatch.setattr(quad, "vandermonde_product", spy)
+    x = PointSequence.floating([-0.8 + 0.35 * i + 0.05 * i * i for i in range(n + 1)])
+    got = integral_side(x, f, order)
+    # the first stage forms the trailing axes' product once per call
+    assert trailing_products.count(True) == 1
+    fn = f.derivative(n)
+
+    def per_node(*t):
+        pairs = itertools.combinations(t, 2)
+        return math.prod(tj - ti for ti, tj in pairs) * fn(sum(t))
+
+    want = reference_cubature(x.intervals, per_node, order)
+    assert got.value == pytest.approx(want, rel=1e-14)
 
 
 def test_pole_inside_sum_range_rejected():
