@@ -8,10 +8,10 @@ the algebra behind their agreement with exact rational arithmetic.
 
 from .exact import MissingVariableError, MultiPoly, VarId, var_family
 from .symfun import (
-    DEFAULT_SYMBOLIC_LIMIT,
     MixedSum,
     OperatorKind,
     PureSum,
+    SYMBOLIC_LIMIT,
     SymbolicLimitError,
     apply_operator,
     elementary_symmetric,
@@ -76,7 +76,6 @@ __all__ = [
     "BudgetExceededError",
     "ConditioningWarning",
     "CubatureResult",
-    "DEFAULT_SYMBOLIC_LIMIT",
     "Exponential",
     "IdentityReport",
     "LEMMA_GROUPS",
@@ -90,6 +89,7 @@ __all__ = [
     "PureSum",
     "QuadratureRule",
     "Reciprocal",
+    "SYMBOLIC_LIMIT",
     "Sine",
     "SymbolicLimitError",
     "VarId",

@@ -11,8 +11,9 @@ verify-lemmas  the exact lemma suite (alias: lemmas)
 transform      the point transform y from x, or x from y with --inverse
 
 Output goes to stdout, one JSON object per line by default (also csv or
-text); diagnostics go to stderr.  Exit codes: 0 all checks passed, 1 a
-verification failed, 2 usage, parse, or infeasible-input errors.
+text); diagnostics go to stderr, one line each.  Exit codes: 0 all checks
+passed, 1 a verification failed, 2 usage, parse, or infeasible-input
+errors, such as a symbolic dimension n above 7.
 
 A command that takes --order, --tolerance, --budget or --seed takes its
 default from VANDIFF_ORDER, VANDIFF_TOLERANCE, VANDIFF_BUDGET or
@@ -30,8 +31,9 @@ import json
 import math
 import os
 import sys
+import warnings
 
-from .divdiff import divided_difference
+from .divdiff import ConditioningWarning, divided_difference
 from .funcs import parse_function
 from .identity import (
     DEFAULT_ORDER,
@@ -39,6 +41,7 @@ from .identity import (
     DEFAULT_TOLERANCE,
     LEMMA_GROUPS,
     _float_verdict,
+    _require_n_max,
     check_identity_exact,
     check_identity_numeric,
     check_volume_symbolic,
@@ -325,9 +328,7 @@ def cmd_theorem1(args) -> int:
 
 
 def cmd_corollary(args) -> int:
-    if args.n_max < 1:
-        print("error: --n-max must be at least 1", file=sys.stderr)
-        return 2
+    _require_n_max(args.n_max)
     reports = [check_volume_symbolic(n) for n in range(1, args.n_max + 1)]
     _emit([r.to_dict() for r in reports], args.format)
     return 0 if suite_passed(reports) else 1
@@ -377,11 +378,20 @@ def cmd_transform(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    show = warnings.showwarning
+
+    def one_line(message, category, *rest):
+        if not issubclass(category, ConditioningWarning):
+            return show(message, category, *rest)
+        print(f"warning: {message}", file=sys.stderr)
+
     try:
-        _fill_from_environment(args)
-        if getattr(args, "workers", 1) < 1:
-            raise ValueError(f"--workers must be at least 1, got {args.workers}")
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = one_line
+            _fill_from_environment(args)
+            if getattr(args, "workers", 1) < 1:
+                raise ValueError(f"--workers must be at least 1, got {args.workers}")
+            return args.func(args)
     except (ValueError, TypeError, OverflowError, BudgetExceededError) as exc:
         # covers parse errors, non-increasing points, symbolic caps, poles
         # inside the domain, infeasible order/dimension requests, values

@@ -106,7 +106,5 @@ def divided_difference_sum_form(points: PointSequence, f: AnalyticFunction):
 def divided_difference_side(x: PointSequence, f: AnalyticFunction):
     """Product side of the main identity: V(x) times the divided
     difference of f at the sum-complement points y."""
-    values = _table_values(x, f)
-    vx = vandermonde_product(values)
-    seq = x if isinstance(values[0], Fraction) else PointSequence(values)
-    return vx * divided_difference(y_from_x(seq), f)
+    seq = PointSequence(_table_values(x, f))
+    return vandermonde_product(seq.values) * divided_difference(y_from_x(seq), f)

@@ -244,14 +244,8 @@ class MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial power requires a non-negative integer")
         result = MultiPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        for _ in range(exponent):
+            result = result * self
         return result
 
     # -- calculus ------------------------------------------------------------

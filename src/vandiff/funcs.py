@@ -115,7 +115,7 @@ class Exponential(AnalyticFunction):
         try:
             if isinstance(x, np.ndarray):
                 with np.errstate(over="raise"):
-                    return self.amplitude * np.exp(self.rate * x)
+                    return _scaled(self.amplitude, np.exp(_scaled(self.rate, x)))
             return self.amplitude * math.exp(self.rate * float(x))
         except (OverflowError, FloatingPointError):
             raise OverflowError(f"{self.describe()} overflows the float range") from None
@@ -143,7 +143,7 @@ class Sine(AnalyticFunction):
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):
-            return self.amplitude * np.sin(self.frequency * x + self.phase)
+            return _scaled(self.amplitude, np.sin(_scaled(self.frequency, x) + self.phase))
         return self.amplitude * math.sin(self.frequency * float(x) + self.phase)
 
     def describe(self) -> str:
@@ -200,6 +200,11 @@ def _derivative_factor(f: AnalyticFunction, base: float, k: int) -> float:
         raise OverflowError(
             f"derivative {k} of {f.describe()} overflows the float range"
         ) from None
+
+
+def _scaled(factor: float, a):
+    # x * 1.0 == x bit for bit, so a unit factor costs no pass over the grid
+    return a if factor == 1.0 else factor * a
 
 
 def _num(v: float) -> str:

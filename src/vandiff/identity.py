@@ -29,8 +29,10 @@ from .funcs import AnalyticFunction, Polynomial
 from .points import PointSequence, monotone_vertices, x_from_y, y_from_x
 from .quad import DEFAULT_BUDGET, integral_side
 from .symfun import (
+    SYMBOLIC_LIMIT,
     MixedSum,
     PureSum,
+    _expand_vandermonde,
     apply_operator,
     elementary_symmetric,
     enumerate_vertices,
@@ -106,10 +108,6 @@ def _float_verdict(lhs: float, rhs: float, tolerance: float):
     return abs_err, rel_err, rel_err <= tolerance
 
 
-def _poly_magnitude(p: MultiPoly) -> float:
-    return float(sum(abs(c) for c in p.terms().values()))
-
-
 def _exact_report(name, n, lhs, rhs, *, seed=None, config=None) -> IdentityReport:
     """Report for an exact-pipeline comparison; errors are 0 on pass.
 
@@ -119,7 +117,7 @@ def _exact_report(name, n, lhs, rhs, *, seed=None, config=None) -> IdentityRepor
     if isinstance(lhs, MultiPoly) and isinstance(rhs, MultiPoly):
         diff = lhs - rhs
         passed = diff.is_zero
-        err = 0.0 if passed else _poly_magnitude(diff)
+        err = 0.0 if passed else float(sum(map(abs, diff.terms().values())))
     else:
         passed = lhs == rhs
         err = 0.0 if passed else abs(float(lhs) - float(rhs))
@@ -135,13 +133,6 @@ def _exact_report(name, n, lhs, rhs, *, seed=None, config=None) -> IdentityRepor
         seed=seed,
         config=dict(config or {}),
     )
-
-
-def _sum_poly(variables: Sequence[VarId]) -> MultiPoly:
-    total = MultiPoly.zero()
-    for v in variables:
-        total = total + MultiPoly.variable(v)
-    return total
 
 
 def _box_integral(p: MultiPoly, tvars: Sequence[VarId], bounds, g=(1,)) -> Fraction:
@@ -300,17 +291,14 @@ def check_volume_symbolic(n: int) -> IdentityReport:
     Integrates the expanded V(t) over R(x) with polynomial bounds and
     subtracts V(x)/n!; the difference must be the zero polynomial.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
     xvars = var_family("x", n + 1)
     xs = [MultiPoly.variable(v) for v in xvars]
     # the bounds are polynomials, so integrate one axis at a time
     value = vandermonde_poly(n, "t")
     for v, a, b in zip(var_family("t", n), xs, xs[1:]):
         value = value.integrate(v, a, b)
-    rhs = vandermonde_poly(n + 1, "x", limit=n + 1) * Fraction(
-        1, math.factorial(n)
-    )
+    # V(x) has n + 1 variables; the t-side call above has checked n
+    rhs = _expand_vandermonde(n + 1, "x") * Fraction(1, math.factorial(n))
     return _exact_report(
         "vandermonde-volume",
         n,
@@ -351,7 +339,7 @@ def check_chain_rule(
     """
     f = _require_exact_polynomial(f)
     tvars = var_family("t", n)
-    s_poly = _sum_poly(tvars)
+    s_poly = sum(map(MultiPoly.variable, tvars), MultiPoly.zero())
     phi = psi * f.compose(s_poly)
     lhs = apply_operator(MixedSum(n), phi, tvars)
     rhs = MultiPoly.zero()
@@ -613,7 +601,7 @@ def _suite_pure_derivative(
     # reciprocals 1/(t_i - t_j), checked at random distinct rational points
     for n in range(2, n_max + 1):
         tvars = var_family("t", n)
-        v_poly = vandermonde_poly(n, "t", limit=n)
+        v_poly = vandermonde_poly(n, "t")
         rng = _group_rng(seed, "pure-derivative", n)
         for k in range(1, n):
             derivs = [v_poly.diff(t, k) for t in tvars]
@@ -648,7 +636,7 @@ def _suite_pure_vanish(n_max: int, seed: int, cases: int) -> Iterator[IdentityRe
     # the n-th pure derivative of V in any single variable is zero
     for n in range(1, n_max + 1):
         tvars = var_family("t", n)
-        v_poly = vandermonde_poly(n, "t", limit=n)
+        v_poly = vandermonde_poly(n, "t")
         pairs = ((v_poly.diff(t, n), MultiPoly.zero()) for t in tvars)
         yield _exact_report(
             f"pure-vanish[n={n}]", n, *_first_failure(pairs), seed=seed
@@ -661,7 +649,7 @@ def _suite_operator_vanish(
     make = PureSum if group == "power-sum-vanish" else MixedSum
     for n in range(1, n_max + 1):
         tvars = var_family("t", n)
-        v_poly = vandermonde_poly(n, "t", limit=n)
+        v_poly = vandermonde_poly(n, "t")
         for k in range(1, n + 1):
             out = apply_operator(make(k), v_poly, tvars)
             yield _exact_report(
@@ -710,7 +698,7 @@ def _suite_chain_rule(n_max: int, seed: int, cases: int) -> Iterator[IdentityRep
             report = check_chain_rule(n, psi, f, seed=seed)
             yield replace(report, name=f"chain-rule[n={n},case={j}]")
         f = random_polynomial_function(rng, n + 1)
-        report = check_chain_rule(n, vandermonde_poly(n, "t", limit=n), f, seed=seed)
+        report = check_chain_rule(n, vandermonde_poly(n, "t"), f, seed=seed)
         yield replace(report, name=f"chain-rule[n={n},case=vandermonde]")
 
 
@@ -737,8 +725,12 @@ def _reduced_vertex_sum_case(rng: random.Random, tvars, seed: int) -> IdentityRe
     return check_reduced_vertex_sum(x, random_poly(rng, tvars), seed=seed)
 
 
-# the largest n_max the lemma suite accepts
-MAX_LEMMA_N = 7
+def _require_n_max(n_max: int) -> None:
+    # below 1 a suite would check nothing; above the cap V_n is not expanded
+    if not 1 <= n_max <= SYMBOLIC_LIMIT:
+        bound = "least 1" if n_max < 1 else f"most {SYMBOLIC_LIMIT}"
+        raise ValueError(f"n_max must be at {bound}, got {n_max}")
+
 
 # group name -> suite(n_max, seed, cases), in report order
 _LEMMA_SUITES = {
@@ -771,14 +763,12 @@ def run_lemma_suite(
     subset of groups reproduces exactly the cases the full run would have
     generated for them.  n_max and cases must be at least 1, and groups
     must name at least one group: with fewer, the suite would check
-    nothing and still pass.  n_max is at most MAX_LEMMA_N: the suites
-    expand V_n past the symbolic cap, and V_n has n! terms.
+    nothing and still pass.  n_max is at most SYMBOLIC_LIMIT, as the
+    suites expand V_n, which has n! terms.
     """
-    for name, value in (("n_max", n_max), ("cases", cases)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if n_max > MAX_LEMMA_N:
-        raise ValueError(f"n_max must be at most {MAX_LEMMA_N}, got {n_max}")
+    _require_n_max(n_max)
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
     chosen = LEMMA_GROUPS if groups is None else tuple(groups)
     unknown = [g for g in chosen if g not in LEMMA_GROUPS]
     if unknown or not chosen:

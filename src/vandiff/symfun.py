@@ -10,8 +10,8 @@ V(t_1,...,t_n) = prod_{i<j} (t_j - t_i), the operators
 and vertex enumeration of axis-aligned rectangles.
 
 The expanded difference product has n! monomials, so fully symbolic work
-is capped (default n <= 6); numeric pipelines evaluate the product form
-directly instead and have no such cap.
+is capped at n <= SYMBOLIC_LIMIT (7); numeric pipelines evaluate the
+product form directly instead and have no such cap.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence, Union
 
 from .exact import MultiPoly, VarId, _collect, var_family
 
-DEFAULT_SYMBOLIC_LIMIT = 6
+SYMBOLIC_LIMIT = 7
 
 
 class SymbolicLimitError(ValueError):
-    """Requested expansion would exceed the configured symbolic size cap."""
+    """Requested expansion would exceed the symbolic size cap."""
 
 
 def elementary_symmetric(k: int, args: Sequence[MultiPoly]) -> MultiPoly:
@@ -52,42 +52,43 @@ def elementary_symmetric(k: int, args: Sequence[MultiPoly]) -> MultiPoly:
 def omega(roots: Sequence[MultiPoly], t: VarId) -> MultiPoly:
     """The monic product (t - r_1)(t - r_2)...(t - r_m); 1 for no roots."""
     tp = MultiPoly.variable(t)
+    result = MultiPoly.one()
     for r in roots:
         if t in r.variables():
             raise ValueError(f"root contains the product variable {t.name}")
-    result = MultiPoly.one()
-    for r in roots:
         result = result * (tp - r)
     return result
 
 
-def vandermonde_poly(n: int, family: str = "t", limit: int | None = None) -> MultiPoly:
+def vandermonde_poly(n: int, family: str = "t") -> MultiPoly:
     """The expanded pairwise-difference product on n family variables.
 
     Degree n(n-1)/2 with n! monomials; n=1 gives the empty product 1.
-    Rejects n above the symbolic cap (default 6) unless a larger limit is
-    passed explicitly.  Cached once per (n, family), however the call is
-    spelled: the result is immutable, and suites request the same
-    expansion many times.
+    Rejects n above SYMBOLIC_LIMIT.  Cached once per (n, family), however
+    the call is spelled: the result is immutable, and suites request the
+    same expansion many times.
     """
     if n < 1:
         raise ValueError("need at least one variable")
-    cap = DEFAULT_SYMBOLIC_LIMIT if limit is None else limit
-    if n > cap:
+    if n > SYMBOLIC_LIMIT:
         raise SymbolicLimitError(
-            f"expanded difference product for n={n} exceeds the symbolic cap {cap}"
+            f"expanded difference product for n={n} exceeds the symbolic cap {SYMBOLIC_LIMIT}"
         )
     return _expand_vandermonde(n, family)
 
 
 @lru_cache(maxsize=None)
 def _expand_vandermonde(n: int, family: str) -> MultiPoly:
-    ts = [MultiPoly.variable(v) for v in var_family(family, n)]
-    result = MultiPoly.one()
-    for i in range(n):
-        for j in range(i + 1, n):
-            result = result * (ts[j] - ts[i])
-    return result
+    # Leibniz formula for V = det[t_i^(j-1)]: each permutation p gives its
+    # own monomial prod_i t_i^p(i), signed by the parity of its inversions
+    powers = [[(v, e) for e in range(n)] for v in var_family(family, n)]
+    signs = (Fraction(1), Fraction(-1))
+    terms = {}
+    for perm in permutations(range(n)):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        mono = tuple(row[e] for row, e in zip(powers, perm) if e)
+        terms[mono] = signs[inversions & 1]
+    return MultiPoly._raw(terms)
 
 
 def vandermonde_product(values: Sequence) -> Union[Fraction, float]:

@@ -8,16 +8,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from vandiff import cli
 from vandiff.cli import build_parser, main
 from vandiff.identity import LEMMA_GROUPS
 
 BASE = [sys.executable, "-m", "vandiff"]
 
 
-def run_cli(*argv, env_extra=None, binary=False):
+def run_cli(*argv, env_extra=None, binary=False, timeout=None):
     env = dict(os.environ)
     env.pop("VANDIFF_ORDER", None)
     env.pop("VANDIFF_TOLERANCE", None)
@@ -30,6 +32,7 @@ def run_cli(*argv, env_extra=None, binary=False):
         capture_output=True,
         text=not binary,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -67,6 +70,39 @@ def test_exp_overflow_names_the_function():
     assert proc.returncode == 2 and proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert "exp:800" in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divdiff", "--points", "0,1e-7,1", "--function", "exp:1"],
+        ["theorem1", "--x", "0,1e-7,1", "--function", "exp:1"],
+    ],
+)
+def test_clustering_warning_is_one_stderr_line(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode in (0, 1)
+    assert len(json_lines(proc)) == 1
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("warning: minimum point gap 1")
+    assert line.endswith(" is below 1e-06 of the span 1.0")
+
+
+def test_other_warnings_pass_through_main(monkeypatch):
+    def command_warning(category):
+        def command(args):
+            warnings.warn("not about clustering", category)
+            return 0
+
+        return command
+
+    monkeypatch.setattr(cli, "cmd_transform", command_warning(UserWarning))
+    with pytest.warns(UserWarning, match="not about clustering"):
+        assert main(["transform", "--x", "0,1"]) == 0
+    # the test configuration turns RuntimeWarning into an error
+    monkeypatch.setattr(cli, "cmd_transform", command_warning(RuntimeWarning))
+    with pytest.raises(RuntimeWarning):
+        main(["transform", "--x", "0,1"])
 
 
 def test_divdiff_via_integral_route():
@@ -128,19 +164,16 @@ def test_theorem1_symbolic_half_square():
 
 
 def test_theorem1_symbolic_at_the_symbolic_cap():
-    # n = 6 is the largest exact case the symbolic cap allows
-    proc = run_cli(
-        "theorem1",
-        "--symbolic",
-        "--x",
-        "0,1/2,1,3/2,2,5/2,3",
-        "--function",
-        "poly:1,2,3,4,5,6,7,8,9,10",
-    )
+    # n = 7 is the largest exact case the symbolic cap allows
+    argv = ["--x", "0,1/2,1,3/2,2,5/2,3,7/2", "--function", "poly:1,2,3,4,5,6,7,8,9,10"]
+    proc = run_cli("theorem1", "--symbolic", *argv)
     assert proc.returncode == 0, proc.stderr
     (rec,) = json_lines(proc)
-    assert rec["n"] == 6 and rec["passed"] is True
-    assert rec["lhs"] == rec["rhs"] == "7729216425/1024"
+    assert rec["n"] == 7 and rec["passed"] is True
+    assert rec["lhs"] == rec["rhs"] == "105182398125/4096"
+    proc = run_cli("integral", "--symbolic", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json_lines(proc)[0]["value"] == "105182398125/4096"
 
 
 def test_theorem1_floating_exponential():
@@ -299,6 +332,27 @@ def test_verify_lemmas_n_max_above_seven_exit_2_at_once():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: n_max must be at most 7, got 8\n"
+
+
+NINE_POINTS = ["--symbolic", "--x", "0,1,2,3,4,5,6,7,8", "--function", "poly:0,1"]
+PAST_THE_CAP = "expanded difference product for n=8 exceeds the symbolic cap 7"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["corollary", "--n-max", "8"], "n_max must be at most 7, got 8"),
+        (["corollary", "--n-max", "0"], "n_max must be at least 1, got 0"),
+        (["theorem1", *NINE_POINTS], PAST_THE_CAP),
+        (["integral", *NINE_POINTS], PAST_THE_CAP),
+    ],
+)
+def test_symbolic_commands_refuse_n_past_the_cap_at_once(argv, message):
+    # the same cap of 7 as verify-lemmas, checked before any expansion
+    proc = run_cli(*argv, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_verify_lemmas_n_max_seven_is_accepted():

@@ -83,6 +83,17 @@ def test_exponential_values_and_derivative_chain():
     assert f.derivative(3).amplitude == pytest.approx(8.0)
 
 
+def test_unit_factors_leave_the_numpy_bits_unchanged():
+    # a multiply by exactly 1.0 is skipped, and x * 1.0 == x bit for bit
+    a = np.linspace(-3.0, 3.0, 1001).reshape(7, 11, 13)
+    want = np.exp(a).tobytes()
+    assert Exponential(1.0)(a).tobytes() == want
+    assert Exponential(1.0).derivative(5)(a).tobytes() == want
+    assert Sine(1.0, 0.5)(a).tobytes() == np.sin(a + 0.5).tobytes()
+    assert Exponential(2.0)(a).tobytes() == (1.0 * np.exp(2.0 * a)).tobytes()
+    assert Sine(2.0, 0.5, 3.0)(a).tobytes() == (3.0 * np.sin(2.0 * a + 0.5)).tobytes()
+
+
 def test_sine_derivative_is_shifted_cosine():
     f = Sine(2.0)
     g = f.derivative()

@@ -35,7 +35,7 @@ from vandiff.identity import (
     suite_passed,
 )
 from vandiff.points import PointSequence
-from vandiff.symfun import MixedSum, vandermonde_poly
+from vandiff.symfun import SYMBOLIC_LIMIT, MixedSum, SymbolicLimitError, vandermonde_poly
 
 import random
 
@@ -225,6 +225,8 @@ def test_volume_closed_form_n2():
 def test_volume_rejects_bad_dimension():
     with pytest.raises(ValueError):
         check_volume_symbolic(0)
+    with pytest.raises(SymbolicLimitError):
+        check_volume_symbolic(SYMBOLIC_LIMIT + 1)
 
 
 # -- divided difference via the integral route ------------------------------------------

@@ -40,6 +40,12 @@ PINNED = [
         52_656,
         "50c26b3519f013f42962aca0e05b782e3fc32f3a22c758c8d5921317aed4e8b1",
     ),
+    (
+        # n = 7 is the symbolic cap; its right side expands V_8 in x
+        "corollary --n-max 7".split(),
+        3_802_817,
+        "e9ee495db6a88e906ebc67a664ed9edc3998cdb41238ac473e710efb7b356e21",
+    ),
 ]
 
 

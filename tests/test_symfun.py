@@ -11,7 +11,7 @@ from vandiff import symfun
 from vandiff.exact import MultiPoly, VarId, var_family
 from vandiff.points import PointSequence, monotone_vertices
 from vandiff.symfun import (
-    DEFAULT_SYMBOLIC_LIMIT,
+    SYMBOLIC_LIMIT,
     MixedSum,
     PureSum,
     SymbolicLimitError,
@@ -130,15 +130,36 @@ def test_vandermonde_poly_term_count_is_factorial():
         assert len(vandermonde_poly(n).terms()) == math.factorial(n)
 
 
+def binomial_product(n):
+    """prod_{i<j} (t_j - t_i) multiplied out one binomial at a time."""
+    ts = [tp(v) for v in var_family("t", n)]
+    out = MultiPoly.one()
+    for i, j in combinations(range(n), 2):
+        out = out * (ts[j] - ts[i])
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, SYMBOLIC_LIMIT + 1))
+def test_vandermonde_poly_equals_the_binomial_product(n):
+    assert vandermonde_poly(n) == binomial_product(n)
+
+
 def test_vandermonde_poly_cap():
+    assert SYMBOLIC_LIMIT == 7
+    assert vandermonde_poly(7).total_degree() == 21
+    with pytest.raises(SymbolicLimitError, match="n=8 exceeds the symbolic cap 7"):
+        vandermonde_poly(8)
+    # the volume identity caches V_8 in x for its right side; the cap holds
+    symfun._expand_vandermonde(8, "x")
     with pytest.raises(SymbolicLimitError):
-        vandermonde_poly(DEFAULT_SYMBOLIC_LIMIT + 1)
-    # explicit limit raises the cap
-    p = vandermonde_poly(7, limit=7)
-    assert p.total_degree() == 21
-    # the expansion is cached now, and the cap still holds
-    with pytest.raises(SymbolicLimitError):
-        vandermonde_poly(7)
+        vandermonde_poly(8, "x")
+
+
+def test_vandermonde_poly_takes_no_limit():
+    with pytest.raises(TypeError):
+        vandermonde_poly(5, limit=5)
+    with pytest.raises(TypeError):
+        vandermonde_poly(8, "t", 8)
 
 
 def test_vandermonde_poly_is_expanded_once_however_it_is_called():
@@ -146,7 +167,7 @@ def test_vandermonde_poly_is_expanded_once_however_it_is_called():
     spellings = [
         vandermonde_poly(5),
         vandermonde_poly(5, "t"),
-        vandermonde_poly(5, "t", limit=5),
+        vandermonde_poly(n=5),
         vandermonde_poly(5, family="t"),
     ]
     info = symfun._expand_vandermonde.cache_info()
