@@ -5,7 +5,10 @@ Four families cover the verification suites: exact rational polynomials
 shifted reciprocals (which stress quadrature when the pole sits near the
 integration region).  Differentiation stays inside each family, so the
 n-th derivative needed by the integral route is always available in
-closed form -- no numerical differentiation anywhere.
+closed form -- no numerical differentiation anywhere.  Cubature asks a
+function once per call for its translate over the grid of trailing-axis
+sums (`on_grid`) and evaluates that per slab; a sinusoid prepares its
+translate by angle addition, so a slab costs no `np.sin` over the grid.
 
 CLI grammar: "poly:c0,c1,..." | "exp:rate" | "sin:freq,phase" | "recip:shift".
 """
@@ -26,13 +29,19 @@ class PoleError(ValueError):
 
 
 class AnalyticFunction:
-    """Base interface: callable, closed-form derivatives, optional pole."""
+    """Base interface: callable, closed-form derivatives, optional pole,
+    and a translate over a fixed grid, prepared once and called per shift."""
 
     def derivative(self, k: int = 1) -> "AnalyticFunction":
         raise NotImplementedError
 
     def __call__(self, x):
         raise NotImplementedError
+
+    def on_grid(self, total):
+        """A callable g with g(s) == self(s + total) for a float s; a family
+        whose translate factors moves the work on `total` into this call."""
+        return lambda s: self(s + total)
 
     def pole(self) -> float | None:
         return None
@@ -116,9 +125,14 @@ class Exponential(AnalyticFunction):
             if isinstance(x, np.ndarray):
                 with np.errstate(over="raise"):
                     return _scaled(self.amplitude, np.exp(_scaled(self.rate, x)))
-            return self.amplitude * math.exp(self.rate * float(x))
+            # math.exp(inf) is inf, and a float product overflows silently
+            power = self.rate * float(x)
+            value = self.amplitude * math.exp(power)
+            if not (math.isfinite(power) and math.isfinite(value)):
+                raise OverflowError
+            return value
         except (OverflowError, FloatingPointError):
-            raise OverflowError(f"{self.describe()} overflows the float range") from None
+            raise OverflowError(_overflow(self)) from None
 
     def describe(self) -> str:
         base = f"exp:{_num(self.rate)}"
@@ -144,7 +158,25 @@ class Sine(AnalyticFunction):
     def __call__(self, x):
         if isinstance(x, np.ndarray):
             return _scaled(self.amplitude, np.sin(_scaled(self.frequency, x) + self.phase))
-        return self.amplitude * math.sin(self.frequency * float(x) + self.phase)
+        angle = self.frequency * float(x) + self.phase
+        if not math.isfinite(angle):  # math.sin(inf) raises a bare ValueError
+            raise OverflowError(_overflow(self))
+        return self.amplitude * math.sin(angle)
+
+    def on_grid(self, total):
+        """sin(w(s + T) + p) = sin(wT + p) cos(ws) + cos(wT + p) sin(ws): the
+        two grids in T are formed here, and a shift costs two scalars."""
+        angle = _scaled(self.frequency, total) + self.phase
+        a = _scaled(self.amplitude, np.sin(angle))
+        b = _scaled(self.amplitude, np.cos(angle))
+
+        def at(s: float):
+            ws = self.frequency * s
+            if not math.isfinite(ws):
+                raise FloatingPointError(_overflow(self))
+            return a * math.cos(ws) + b * math.sin(ws)
+
+        return at
 
     def describe(self) -> str:
         base = f"sin:{_num(self.frequency)},{_num(self.phase)}"
@@ -200,6 +232,10 @@ def _derivative_factor(f: AnalyticFunction, base: float, k: int) -> float:
         raise OverflowError(
             f"derivative {k} of {f.describe()} overflows the float range"
         ) from None
+
+
+def _overflow(f: AnalyticFunction) -> str:
+    return f"{f.describe()} overflows the float range"
 
 
 def _scaled(factor: float, a):

@@ -10,10 +10,13 @@ integrand has two stages: it is called once per integration with the
 trailing axes as broadcast views, so no node coordinate is gathered or
 copied and whatever depends on those axes alone is computed once; the
 slab function it returns is called once per slab with the leading-axis
-coordinates.  Each slab is reduced with numpy's deterministic pairwise
-sum and the slab totals are combined with math.fsum, so the result is
-identical for any worker count.  An evaluation budget guards against
-infeasible order/dimension combinations instead of silently truncating.
+coordinates.  `integral_side` uses the first stage to prepare the n-th
+derivative's translate over the trailing-axis sums (`on_grid`), so a
+slab only shifts it by the sum of its leading coordinates.  Each slab is
+reduced with numpy's deterministic pairwise sum and the slab totals are
+combined with math.fsum, so the result is identical for any worker count.
+An evaluation budget guards against infeasible order/dimension
+combinations instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -202,9 +205,12 @@ def integral_side(
     The difference product is evaluated at each node in product form, not
     via the expanded polynomial.  Once per call, `vandermonde_product`
     gives the differences among the trailing axes and their coordinate sum
-    is formed; per slab, the differences that involve a leading axis are
-    vectors along one trailing axis each, and their outer product is the
-    only other grid the difference product needs.
+    is formed, and with leading axes so is `fn.on_grid` of that sum, the
+    translate of f^(n); per slab, the differences that involve a leading
+    axis are vectors along one trailing axis each, their outer product is
+    the only other grid the difference product needs, and f^(n) is the
+    translate at the sum of the leading coordinates.  Without leading
+    axes the one slab evaluates f^(n) at the sum directly.
     """
     n = x.n
     if n > MAX_DIMENSION:
@@ -225,9 +231,11 @@ def integral_side(
         for t in trailing[1:]:
             total = total + t
 
+        if len(trailing) == n:
+            return lambda: diffs * fn(total)
+        at = fn.on_grid(total)  # f^(n)(s + total) for a slab's lead sum s
+
         def slab(*lead):
-            if not lead:
-                return diffs * fn(total)
             # prod_i (u_j - l_i) for each trailing axis u_j, leading axes first
             factors = []
             for u in trailing:
@@ -240,7 +248,7 @@ def integral_side(
             for g in factors[1:]:
                 grid = grid * g
             grid *= diffs
-            return grid * fn(sum(lead) + total)
+            return grid * at(sum(lead))
 
         return slab
 

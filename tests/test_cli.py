@@ -73,6 +73,30 @@ def test_exp_overflow_names_the_function():
 
 
 @pytest.mark.parametrize(
+    "argv, name",
+    [
+        # math.sin(inf) raised a bare ValueError
+        (["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0"], "sin:1e+308,0"),
+        (["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0", "--check"], "sin:1e+308,0"),
+        (
+            ["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0", "--via-integral"],
+            "sin:1e+308,0",
+        ),
+        (
+            ["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0", "--format", "csv"],
+            "sin:1e+308,0",
+        ),
+        # math.exp(inf) is inf, which reached the JSON encoder
+        (["divdiff", "--points", "0,2", "--function", "exp:1e308"], "exp:1e+308"),
+    ],
+)
+def test_scalar_overflow_names_the_function(argv, name):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {name} overflows the float range\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["divdiff", "--points", "0,1e-7,1", "--function", "exp:1"],

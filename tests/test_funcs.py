@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vandiff.exact import MultiPoly, VarId
 from vandiff.funcs import (
@@ -128,6 +129,66 @@ def test_reciprocal_array_path_matches_scalar_path(power):
     got = f(xs)
     want = np.array([f(float(x)) for x in xs])
     assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_scalar_overflow_is_named():
+    # math.sin(inf) raises a bare ValueError, math.exp(inf) returns inf
+    with pytest.raises(OverflowError, match=r"^sin:1e\+308,0 overflows the float range$"):
+        Sine(1e308)(2.0)
+    for x in (2.0, -2.0):
+        with pytest.raises(OverflowError, match=r"^exp:1e\+308 overflows the float range$"):
+            Exponential(1e308)(x)
+    with pytest.raises(OverflowError, match=r"^1e\+308\*exp:1 overflows the float range$"):
+        Exponential(1.0, 1e308)(1.0)
+    assert Exponential(1e308)(0.0) == 1.0
+
+
+# -- the translate that cubature evaluates per slab -------------------------------
+
+
+def _floats(bound):
+    return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    frequency=_floats(8.0),
+    phase=_floats(8.0),
+    amplitude=_floats(1e3).filter(lambda a: abs(a) >= 1e-3),
+    grid=st.lists(_floats(10.0), min_size=1, max_size=12),
+    shift=_floats(10.0),
+)
+def test_sine_translate_matches_the_shifted_sine(frequency, phase, amplitude, grid, shift):
+    f = Sine(frequency, phase, amplitude)
+    total = np.array(grid)
+    got = f.on_grid(total)(shift)
+    want = f(shift + total)
+    # both routes round the angle, so the bound grows with its size
+    angle = abs(frequency) * (abs(shift) + np.abs(total)) + abs(phase)
+    tol = 4 * np.spacing(abs(amplitude)) * np.maximum(1.0, angle)
+    assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Exponential(1.3, -2.0),
+        Reciprocal(10.0).derivative(4),
+        Polynomial((Fraction(1, 3), -2, 0, 5)),
+    ],
+    ids=lambda f: type(f).__name__,
+)
+def test_default_translate_keeps_the_bits(f):
+    total = np.linspace(-3.0, 4.0, 1001).reshape(7, 11, 13)
+    for shift in (-1.7, 0.0, 0.4, 2.6):
+        assert f.on_grid(total)(shift).tobytes() == f(shift + total).tobytes()
+
+
+def test_sine_translate_rejects_a_non_finite_angle():
+    at = Sine(1e308, 0.5).on_grid(np.linspace(-1e-3, 1e-3, 5))
+    assert np.isfinite(at(1.0)).all()
+    for shift in (2.0, -2.0):
+        with pytest.raises(FloatingPointError, match=r"^sin:1e\+308,0.5 overflows"):
+            at(shift)
 
 
 def test_poles_absent_for_entire_families():

@@ -10,6 +10,7 @@ import pytest
 
 from vandiff import quad
 from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal, Sine
+from vandiff.identity import floating_suite_points
 from vandiff.points import PointSequence
 from vandiff.quad import (
     MAX_DIMENSION,
@@ -329,6 +330,7 @@ SIDE_FUNCTIONS = [
     Sine(1.0, 0.0),
     Reciprocal(10.0),
     Polynomial((1, -2, Fraction(1, 2), 3, 0, 1, -1, 2)),
+    Sine(1.7, 0.4, -2.5),
 ]
 
 
@@ -355,6 +357,83 @@ def test_integral_side_matches_the_per_node_integrand(monkeypatch, n, order, chu
 
     want = reference_cubature(x.intervals, per_node, order)
     assert got.value == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, translates", [(3, 0), (4, 1), (5, 1)])
+def test_sine_translate_is_built_once_per_call(monkeypatch, n, translates):
+    # order 20 gives n = 3 no leading axis, n = 5 400 slabs
+    built = []
+    on_grid = Sine.on_grid
+
+    def spy(self, total):
+        built.append(total.shape)
+        return on_grid(self, total)
+
+    monkeypatch.setattr(Sine, "on_grid", spy)
+    x = floating_suite_points(n)[0]
+    got = integral_side(x, Sine(1.0, 0.0), 20, workers=2)
+    assert built == [(20, 20, 20)] * translates
+    assert math.isfinite(got.value)
+
+
+# integral_side values at the first criterion-2 point sequence for each n,
+# as float.hex; sin at n >= 4 takes its translate by angle addition and is
+# held to the reference in the next test instead
+SIDE_PINS = {
+    (1, "exp"): "0x1.3b8ce3e4a64e2p-4",
+    (1, "sin"): "0x1.d22a26429b1f5p-4",
+    (1, "recip"): "-0x1.be6783a310932p-10",
+    (1, "poly"): "0x1.82f6d9aa96bdbp+2",
+    (1, "sinw"): "-0x1.079aa38b5f25fp-2",
+    (2, "exp"): "0x1.79b4142dbecf0p+5",
+    (2, "sin"): "-0x1.ceac783efec9cp+0",
+    (2, "recip"): "-0x1.0da01d65bc8aep-6",
+    (2, "poly"): "0x1.29bed24886092p+15",
+    (2, "sinw"): "-0x1.b490591353d88p+3",
+    (3, "exp"): "0x1.2a3a0c5ebbd30p+3",
+    (3, "sin"): "-0x1.82bb98f4cf786p+2",
+    (3, "recip"): "-0x1.4bb965e0898aep-8",
+    (3, "poly"): "0x1.e1925692c350cp+12",
+    (3, "sinw"): "0x1.29daf298796f6p+5",
+    (4, "exp"): "0x1.14509373f6a6dp+6",
+    (4, "recip"): "-0x1.599f58e418423p-8",
+    (4, "poly"): "0x1.0deff7aebf17fp+17",
+    (5, "exp"): "0x1.6a71006f48954p+10",
+    (5, "recip"): "-0x1.34f579bfc1678p-4",
+    (5, "poly"): "0x1.58d9e562c584ap+20",
+}
+
+PIN_FUNCTIONS = {
+    "exp": Exponential(1.0),
+    "sin": Sine(1.0, 0.0),
+    "recip": Reciprocal(10.0),
+    "poly": SIDE_FUNCTIONS[3],
+    "sinw": SIDE_FUNCTIONS[4],
+}
+
+
+@pytest.mark.parametrize("n, family", SIDE_PINS, ids=lambda v: str(v))
+def test_integral_side_bits_are_pinned(n, family):
+    got = integral_side(floating_suite_points(n)[0], PIN_FUNCTIONS[family], 20)
+    assert got.value.hex() == SIDE_PINS[n, family]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_sine_cubature_matches_a_50_digit_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(50):
+        for x in floating_suite_points(n):
+            xs = [mpmath.mpf(v) for v in x.as_floats()]
+            ys = [mpmath.fsum(xs) - v for v in reversed(xs)]
+            ref = mpmath.mpf(0)
+            for i, yi in enumerate(ys):
+                others = ys[:i] + ys[i + 1 :]
+                ref += mpmath.sin(yi) / mpmath.fprod(yi - yj for yj in others)
+            ref *= mpmath.fprod(xj - xi for xi, xj in itertools.combinations(xs, 2))
+            got = integral_side(x, Sine(1.0, 0.0), 20).value
+            worst = max(worst, float(abs((got - ref) / ref)))
+    assert worst <= 1e-14
 
 
 def test_pole_inside_sum_range_rejected():
