@@ -10,16 +10,20 @@ function once per call for its translate over the grid of trailing-axis
 sums (`on_grid`) and evaluates that per slab; a sinusoid prepares its
 translate by angle addition, so a slab costs no `np.sin` over the grid.
 
+Every family takes a scalar (float, Fraction, numpy scalar) or a numpy
+array.  numpy is imported only by the array branches, which only the
+cubature takes: an argument cannot be an array before numpy is loaded,
+so the exact pipeline and the table route never load it.
+
 CLI grammar: "poly:c0,c1,..." | "exp:rate" | "sin:freq,phase" | "recip:shift".
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exact import MultiPoly
 
@@ -91,7 +95,8 @@ class Polynomial(AnalyticFunction):
             raise OverflowError(
                 f"{self.describe()} has a coefficient beyond float range"
             ) from None
-        acc = np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0
+        np = _numpy_if_array(x)
+        acc = 0.0 if np is None else np.zeros_like(x, dtype=float)
         for c in cs:
             acc = acc * x + c
         return acc
@@ -122,7 +127,8 @@ class Exponential(AnalyticFunction):
         # errstate is per thread, so it is set here, where cubature
         # workers evaluate the array
         try:
-            if isinstance(x, np.ndarray):
+            np = _numpy_if_array(x)
+            if np is not None:
                 with np.errstate(over="raise"):
                     return _scaled(self.amplitude, np.exp(_scaled(self.rate, x)))
             # math.exp(inf) is inf, and a float product overflows silently
@@ -156,7 +162,8 @@ class Sine(AnalyticFunction):
         )
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
+        np = _numpy_if_array(x)
+        if np is not None:
             return _scaled(self.amplitude, np.sin(_scaled(self.frequency, x) + self.phase))
         angle = self.frequency * float(x) + self.phase
         if not math.isfinite(angle):  # math.sin(inf) raises a bare ValueError
@@ -166,6 +173,8 @@ class Sine(AnalyticFunction):
     def on_grid(self, total):
         """sin(w(s + T) + p) = sin(wT + p) cos(ws) + cos(wT + p) sin(ws): the
         two grids in T are formed here, and a shift costs two scalars."""
+        import numpy as np
+
         angle = _scaled(self.frequency, total) + self.phase
         a = _scaled(self.amplitude, np.sin(angle))
         b = _scaled(self.amplitude, np.cos(angle))
@@ -201,7 +210,8 @@ class Reciprocal(AnalyticFunction):
         return Reciprocal(self.shift, power, scale)
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
+        np = _numpy_if_array(x)
+        if np is not None:
             base = x - self.shift
             if np.any(base == 0.0):
                 raise PoleError(f"evaluation at the pole {self.shift}")
@@ -212,7 +222,15 @@ class Reciprocal(AnalyticFunction):
         base = float(x) - self.shift
         if base == 0.0:
             raise PoleError(f"evaluation at the pole {self.shift}")
-        return self.scale / base**self.power
+        # the power raises OverflowError, but an underflow to 0.0 or a
+        # quotient beyond float range passes without an exception
+        try:
+            value = self.scale / base**self.power
+            if not math.isfinite(value):
+                raise OverflowError
+        except (OverflowError, ZeroDivisionError):
+            raise OverflowError(_overflow(self)) from None
+        return value
 
     def pole(self) -> float:
         return self.shift
@@ -232,6 +250,13 @@ def _derivative_factor(f: AnalyticFunction, base: float, k: int) -> float:
         raise OverflowError(
             f"derivative {k} of {f.describe()} overflows the float range"
         ) from None
+
+
+def _numpy_if_array(x):
+    """numpy if x is one of its arrays, else None; numpy is not loaded to
+    find out, since nothing can be an array before it is."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else None
 
 
 def _overflow(f: AnalyticFunction) -> str:

@@ -112,13 +112,21 @@ def parse_points(text: str, exact: bool = False) -> PointSequence:
 
 
 def y_from_x(x: PointSequence) -> PointSequence:
-    """The sum-complement transform: y_i = (sum of x) - x_{n+2-i}."""
+    """The sum-complement transform: y_i = (sum of x) - x_{n+2-i}.
+
+    The gaps of y are those of x, but floating sums can round two y_i
+    together; that raises ValueError naming x."""
     vals = x.values
     if x.is_exact:
         total = sum(vals, Fraction(0))
     else:
         total = math.fsum(vals)
-    return PointSequence(tuple(total - vals[len(vals) - 1 - i] for i in range(len(vals))))
+    try:
+        return PointSequence(tuple(total - vals[len(vals) - 1 - i] for i in range(len(vals))))
+    except ValueError:
+        raise ValueError(
+            f"the transformed points y coincide in floating point for x = {x.render()}"
+        ) from None
 
 
 def x_from_y(y: PointSequence) -> PointSequence:

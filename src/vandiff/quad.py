@@ -17,6 +17,10 @@ reduced with numpy's deterministic pairwise sum and the slab totals are
 combined with math.fsum, so the result is identical for any worker count.
 An evaluation budget guards against infeasible order/dimension
 combinations instead of silently truncating.
+
+numpy is imported by `integrate_over_rectangle` when it runs, so that
+importing this module, as every import of the package does, leaves it
+unloaded; the Gauss-Legendre rule itself is plain Python.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .funcs import AnalyticFunction, PoleError
 from .points import PointSequence, sum_bounds
@@ -127,6 +129,8 @@ def integrate_over_rectangle(
     raises FloatingPointError.  At most min(workers, number of slabs)
     threads sum the slabs; workers below 1 raise ValueError.
     """
+    import numpy as np
+
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     rule = gauss_legendre(order)

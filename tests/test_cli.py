@@ -88,6 +88,9 @@ def test_exp_overflow_names_the_function():
         ),
         # math.exp(inf) is inf, which reached the JSON encoder
         (["divdiff", "--points", "0,2", "--function", "exp:1e308"], "exp:1e+308"),
+        # so was 1 / -1e-310, and 1 / 5e-324
+        (["divdiff", "--points", "0,1,2", "--function", "recip:1e-310"], "recip:1e-310"),
+        (["divdiff", "--points", "0,1,2", "--function", "recip:5e-324"], "recip:5e-324"),
     ],
 )
 def test_scalar_overflow_names_the_function(argv, name):
@@ -216,6 +219,22 @@ def test_theorem1_non_increasing_points_exit_2():
     assert proc.returncode == 2
     assert "points must be strictly increasing" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, x",
+    [
+        (["theorem1", "--x", "0,1,1e17", "--function", "poly:1,2,3"], "0.0,1.0,1e+17"),
+        (["transform", "--x", "0,1,1e308"], "0.0,1.0,1e+308"),
+    ],
+)
+def test_points_whose_transform_collapses_exit_2(argv, x):
+    # the typed x increase; y_2 and y_3 round to the same float
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: the transformed points y coincide in floating point for x = {x}\n"
+    )
 
 
 def test_theorem1_symbolic_rejects_transcendental():
@@ -631,3 +650,46 @@ def test_command_rejects_options_it_does_not_read(command, flag):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert f"unrecognized arguments: {flag} 1" in proc.stderr
+
+
+# -- import cost ------------------------------------------------------------------------
+
+# Run in a child, since this process loaded numpy with the test modules.
+# Every command but the floating cubature leaves numpy unloaded; the
+# floating theorem1 at the end shows that the check can see it load.
+_NUMPY_ON_FIRST_USE = """
+import contextlib, io, sys
+import vandiff
+from vandiff import cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+for argv in [
+    ["corollary", "--n-max", "3"],
+    ["verify-lemmas", "--n-max", "3"],
+    ["theorem1", "--symbolic", "--x", "0,1/2,2", "--function", "poly:1,2,3,4"],
+    ["integral", "--symbolic", "--x", "0,1/2,2", "--function", "poly:1,2,3,4"],
+    ["transform", "--x", "0,0.5,2"],
+    ["transform", "--inverse", "--symbolic", "--y", "1,2,3"],
+    *(["divdiff", "--points", "0,0.5,2", "--function", f]
+      for f in ("poly:1,2,3,4", "exp:1", "sin:1.5,0.5", "recip:10")),
+]:
+    run(argv)
+    assert "numpy" not in sys.modules, argv
+run(["theorem1", "--x", "0,0.5,2", "--function", "exp:1"])
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_cubature_loads_numpy():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("VANDIFF_")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_FIRST_USE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

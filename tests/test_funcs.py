@@ -1,6 +1,9 @@
 """Function families: closed-form derivatives, evaluation, parsing."""
 
+import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +146,23 @@ def test_scalar_overflow_is_named():
     assert Exponential(1e308)(0.0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "f, x, name",
+    [
+        # 1 / -1e-310 is -inf without an exception
+        (Reciprocal(1e-310), 0.0, "recip:1e-310"),
+        (Reciprocal(5e-324), 0.0, "recip:5e-324"),
+        # (1e-200)**3 underflows to 0.0, which raised a bare ZeroDivisionError
+        (Reciprocal(0.0, 3), 1e-200, r"1\*\(x-0\)\^-3"),
+        # (1e200)**3 raised OverflowError with no name
+        (Reciprocal(0.0, 3), 1e200, r"1\*\(x-0\)\^-3"),
+    ],
+)
+def test_reciprocal_scalar_overflow_is_named(f, x, name):
+    with pytest.raises(OverflowError, match=f"^{name} overflows the float range$"):
+        f(x)
+
+
 # -- the translate that cubature evaluates per slab -------------------------------
 
 
@@ -232,6 +252,83 @@ def test_array_evaluation_matches_scalar(f):
     arr = f(np.array(SAMPLES))
     for x, ax in zip(SAMPLES, arr):
         assert ax == pytest.approx(float(f(x)), rel=1e-14)
+
+
+# -- scalar and array dispatch ------------------------------------------------------
+
+# float.hex of each family at 0.4 and at SAMPLES, whatever the moment numpy
+# is imported.  `recip` differs in the last bit at 0.4 between its two
+# paths, and every other scalar result is a Python or numpy scalar, never
+# an array, so each pin also says which path a value took.
+DISPATCH_FAMILIES = {
+    "poly": Polynomial((Fraction(1, 3), -2, 0, 5)),
+    "exp": Exponential(1.3, -2.0),
+    "sin": Sine(1.7, 0.4, -2.5),
+    "recip": Reciprocal(10.0, 3, 2.0),
+}
+SCALAR_PINS = {
+    "poly": "-0x1.2c5f92c5f92c6p-3",
+    "exp": "-0x1.ae995d326ca98p+1",
+    "sin": "-0x1.1a39fbc947465p+1",
+    "recip": "-0x1.284bda12f684dp-9",
+}
+ARRAY_PINS = {
+    "poly": ["-0x1.4d4e81b4e81b5p+4", "0x1.98bf258bf258cp-1", "-0x1.2c5f92c5f92c6p-3",
+             "0x1.32740da740da8p+2", "0x1.4c0da740da741p+6"],
+    "exp": ["-0x1.c155779b95f6fp-3", "-0x1.5aa732db00d0ep+0", "-0x1.ae995d326ca98p+1",
+            "-0x1.0b6fcebc48724p+3", "-0x1.d5eeadb0de133p+5"],
+    "sin": ["0x1.84215863a2744p+0", "0x1.19084ea70fa7ap-2", "-0x1.1a39fbc947465p+1",
+            "-0x1.e9d3c1635ca83p+0", "0x1.3e2622a70cb9ep+1"],
+    "recip": ["-0x1.475998f6b5ecep-10", "-0x1.dfcc3bfc2b0d9p-10", "-0x1.284bda12f684cp-9",
+              "-0x1.73da1058a265cp-9", "-0x1.4374a6b89f579p-8"],
+}
+
+
+@pytest.mark.parametrize("name", DISPATCH_FAMILIES)
+def test_scalars_and_arrays_take_their_paths_with_numpy_loaded(name):
+    f = DISPATCH_FAMILIES[name]
+    for x in (0.4, Fraction(2, 5), np.float64(0.4)):
+        value = f(x)
+        assert not isinstance(value, np.ndarray)
+        if name == "poly" and isinstance(x, Fraction):
+            assert value == Fraction(-11, 75)  # the exact Horner path
+        else:
+            assert float(value).hex() == SCALAR_PINS[name]
+    values = f(np.array(SAMPLES))
+    assert isinstance(values, np.ndarray)
+    assert [v.hex() for v in values.tolist()] == ARRAY_PINS[name]
+
+
+# the same families in a fresh interpreter, where numpy is not yet loaded
+_BEFORE_NUMPY = """
+import json, sys
+from fractions import Fraction
+from vandiff.funcs import Exponential, Polynomial, Reciprocal, Sine
+families = {
+    "poly": Polynomial((Fraction(1, 3), -2, 0, 5)),
+    "exp": Exponential(1.3, -2.0),
+    "sin": Sine(1.7, 0.4, -2.5),
+    "recip": Reciprocal(10.0, 3, 2.0),
+}
+out = {}
+for name, f in families.items():
+    values = [f(0.4), f(Fraction(2, 5))]
+    out[name] = [type(v).__name__ + ":" + (str(v) if type(v) is Fraction else v.hex())
+                 for v in values]
+assert "numpy" not in sys.modules, "a scalar call loaded numpy"
+print(json.dumps(out))
+"""
+
+
+def test_scalars_take_the_scalar_path_before_numpy_is_loaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", _BEFORE_NUMPY], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    for name, pin in SCALAR_PINS.items():
+        exact = "Fraction:-11/75" if name == "poly" else f"float:{pin}"
+        assert got[name] == [f"float:{pin}", exact]
 
 
 def test_negative_derivative_order_rejected():

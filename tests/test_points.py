@@ -124,6 +124,14 @@ def test_round_trip_float():
         assert a == pytest.approx(b, rel=1e-14)
 
 
+def test_float_transform_that_collapses_names_x():
+    # exact y keeps the gaps of x, but 1e17 + 1 rounds to 1e17
+    message = r"^the transformed points y coincide in floating point for x = 0\.0,1\.0,1e\+17$"
+    with pytest.raises(ValueError, match=message):
+        y_from_x(PointSequence.floating([0.0, 1.0, 1e17]))
+    assert y_from_x(exact_seq(0, 1, 10**17)).values == (1, 10**17, 10**17 + 1)
+
+
 def test_sum_bounds_are_extreme_y_values():
     x = exact_seq(0, 1, 2)
     assert sum_bounds(x) == (1, 3)
