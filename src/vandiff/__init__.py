@@ -38,7 +38,6 @@ from .funcs import (
     parse_function,
 )
 from .divdiff import (
-    ConditioningWarning,
     build_table,
     divided_difference,
     divided_difference_side,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticFunction",
     "BudgetExceededError",
-    "ConditioningWarning",
     "CubatureResult",
     "Exponential",
     "IdentityReport",

@@ -11,9 +11,12 @@ verify-lemmas  the exact lemma suite (alias: lemmas)
 transform      the point transform y from x, or x from y with --inverse
 
 Output goes to stdout, one JSON object per line by default (also csv or
-text); diagnostics go to stderr, one line each.  Exit codes: 0 all checks
-passed, 1 a verification failed, 2 usage, parse, or infeasible-input
-errors, such as a symbolic dimension n above 7.
+text).  Stderr gets at most one line: the `error:` line of a run that
+exits 2, or else, after the record, a `warning:` note when the recursive
+table ran on floating points whose smallest gap is below 1e-6 of their
+span (`divdiff` without --via-integral, floating `theorem1`).  Exit
+codes: 0 all checks passed, 1 a verification failed, 2 usage, parse, or
+infeasible-input errors, such as a symbolic dimension n above 7.
 
 A command that takes --order, --tolerance, --budget or --seed takes its
 default from VANDIFF_ORDER, VANDIFF_TOLERANCE, VANDIFF_BUDGET or
@@ -31,9 +34,8 @@ import json
 import math
 import os
 import sys
-import warnings
 
-from .divdiff import ConditioningWarning, divided_difference
+from .divdiff import divided_difference
 from .funcs import parse_function
 from .identity import (
     DEFAULT_ORDER,
@@ -51,7 +53,7 @@ from .identity import (
     run_lemma_suite,
     suite_passed,
 )
-from .points import parse_points, x_from_y, y_from_x
+from .points import PointSequence, parse_points, x_from_y, y_from_x
 from .quad import BudgetExceededError, DEFAULT_BUDGET, integral_side
 from .symfun import vandermonde_product
 
@@ -247,13 +249,28 @@ def _emit(records: list[dict], fmt: str) -> None:
     sys.stdout.write(text)
 
 
+def _note_if_clustered(points: PointSequence) -> None:
+    """One stderr note when the smallest gap of the floating points is
+    below 1e-6 of their span, where the recursive table loses digits."""
+    values = points.values
+    span = values[-1] - values[0]
+    min_gap = min(b - a for a, b in zip(values, values[1:]))
+    if min_gap < 1e-6 * span:
+        print(
+            f"warning: minimum point gap {min_gap} is below 1e-06 of the span {span}",
+            file=sys.stderr,
+        )
+
+
 # -- command handlers -------------------------------------------------------------
 
 
 def cmd_divdiff(args) -> int:
     points = parse_points(args.points)
     f = parse_function(args.function)
-    table_value = float(divided_difference(points, f))
+    table_runs = args.check or not args.via_integral
+    if table_runs:
+        table_value = float(divided_difference(points, f))
     record = {
         "name": "divided-difference",
         "points": list(points.values),
@@ -280,6 +297,8 @@ def cmd_divdiff(args) -> int:
     else:
         record.update(route="table", value=table_value)
     _emit([record], args.format)
+    if table_runs:
+        _note_if_clustered(points)
     return 0 if passed else 1
 
 
@@ -324,6 +343,8 @@ def cmd_theorem1(args) -> int:
             budget=args.budget,
         )
     _emit([report.to_dict()], args.format)
+    if not args.symbolic:
+        _note_if_clustered(x)
     return 0 if report.passed else 1
 
 
@@ -378,20 +399,11 @@ def cmd_transform(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    show = warnings.showwarning
-
-    def one_line(message, category, *rest):
-        if not issubclass(category, ConditioningWarning):
-            return show(message, category, *rest)
-        print(f"warning: {message}", file=sys.stderr)
-
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = one_line
-            _fill_from_environment(args)
-            if getattr(args, "workers", 1) < 1:
-                raise ValueError(f"--workers must be at least 1, got {args.workers}")
-            return args.func(args)
+        _fill_from_environment(args)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        return args.func(args)
     except (ValueError, TypeError, OverflowError, BudgetExceededError) as exc:
         # covers parse errors, non-increasing points, symbolic caps, poles
         # inside the domain, infeasible order/dimension requests, values

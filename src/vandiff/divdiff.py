@@ -9,43 +9,23 @@ points are rational and f is a rational polynomial, floating otherwise.
 `divided_difference_side` builds the product side of the main identity:
 the pairwise-difference product of x times the divided difference at the
 transformed points.
+
+These functions only compute.  The table loses digits on clustered
+floating points; the command line says so in a note of its own.
 """
 
 from __future__ import annotations
 
-import warnings
-from fractions import Fraction
 from typing import Sequence
 
 from .funcs import AnalyticFunction, Polynomial
 from .points import PointSequence, y_from_x
 from .symfun import vandermonde_product
 
-# min gap below this fraction of the span triggers a conditioning warning
-CLUSTER_RATIO = 1e-6
-
-
-class ConditioningWarning(UserWarning):
-    """Clustered points: expect precision loss in floating results."""
-
 
 def _check_distinct(values: Sequence) -> None:
     if len(set(values)) != len(values):
         raise ValueError("divided differences require distinct points")
-
-
-def _warn_if_clustered(values: Sequence) -> None:
-    if isinstance(values[0], Fraction):
-        return  # exact arithmetic loses nothing to clustering
-    span = max(values) - min(values)
-    ordered = sorted(values)
-    min_gap = min(b - a for a, b in zip(ordered, ordered[1:]))
-    if min_gap < CLUSTER_RATIO * span:
-        warnings.warn(
-            f"minimum point gap {min_gap} is below {CLUSTER_RATIO} of the span {span}",
-            ConditioningWarning,
-            stacklevel=3,
-        )
 
 
 def build_table(values: Sequence, fvalues: Sequence) -> tuple[tuple, ...]:
@@ -57,7 +37,6 @@ def build_table(values: Sequence, fvalues: Sequence) -> tuple[tuple, ...]:
     _check_distinct(values)
     if len(values) != len(fvalues):
         raise ValueError("points and values must have equal length")
-    _warn_if_clustered(values)
     layers = [tuple(fvalues)]
     m = len(values)
     for k in range(1, m):
@@ -71,7 +50,6 @@ def build_table(values: Sequence, fvalues: Sequence) -> tuple[tuple, ...]:
 def sum_form(values: Sequence, f: AnalyticFunction):
     """The reciprocal-product sum over arbitrary distinct points."""
     _check_distinct(values)
-    _warn_if_clustered(values)
     total = None
     for i, yi in enumerate(values):
         denom = None

@@ -27,7 +27,7 @@ from .divdiff import divided_difference, divided_difference_side
 from .exact import MultiPoly, VarId, _coeff, _over_one_denominator, var_family
 from .funcs import AnalyticFunction, Polynomial
 from .points import PointSequence, monotone_vertices, x_from_y, y_from_x
-from .quad import DEFAULT_BUDGET, integral_side
+from .quad import DEFAULT_BUDGET, _require_pole_outside, integral_side
 from .symfun import (
     SYMBOLIC_LIMIT,
     MixedSum,
@@ -320,9 +320,13 @@ def divided_difference_via_integral(
 
     Maps y back to x, integrates V(t) * f^(n) over R(x), divides by V(y).
     """
-    x = x_from_y(PointSequence(y.as_floats()))
+    yf = y.as_floats()
+    # the floating x can round the coordinate-sum range inward, past a
+    # pole at an end of [y_1, y_{n+1}]
+    _require_pole_outside(f, yf[0], yf[-1])
+    x = x_from_y(PointSequence(yf))
     cubature = integral_side(x, f, order, workers=workers, budget=budget)
-    return cubature.value / vandermonde_product(y.as_floats())
+    return cubature.value / vandermonde_product(yf)
 
 
 # -- derivative expansion and vertex sums --------------------------------------

@@ -111,35 +111,38 @@ def parse_points(text: str, exact: bool = False) -> PointSequence:
     return PointSequence(tuple(values))
 
 
+def _total(seq: PointSequence):
+    return sum(seq.values, Fraction(0)) if seq.is_exact else math.fsum(seq.values)
+
+
+def _transformed(values: tuple, source: PointSequence, names: tuple) -> PointSequence:
+    # the transform keeps the gaps, but floating sums can round two points
+    # together; the message names the points the caller gave
+    try:
+        return PointSequence(values)
+    except ValueError:
+        given, made = names
+        raise ValueError(
+            f"the transformed points {made} coincide in floating point "
+            f"for {given} = {source.render()}"
+        ) from None
+
+
 def y_from_x(x: PointSequence) -> PointSequence:
     """The sum-complement transform: y_i = (sum of x) - x_{n+2-i}.
 
     The gaps of y are those of x, but floating sums can round two y_i
     together; that raises ValueError naming x."""
-    vals = x.values
-    if x.is_exact:
-        total = sum(vals, Fraction(0))
-    else:
-        total = math.fsum(vals)
-    try:
-        return PointSequence(tuple(total - vals[len(vals) - 1 - i] for i in range(len(vals))))
-    except ValueError:
-        raise ValueError(
-            f"the transformed points y coincide in floating point for x = {x.render()}"
-        ) from None
+    total = _total(x)
+    return _transformed(tuple(total - v for v in reversed(x.values)), x, ("x", "y"))
 
 
 def x_from_y(y: PointSequence) -> PointSequence:
-    """Exact inverse of y_from_x: x_i = ((sum of y) - n*y_{n+2-i}) / n."""
-    vals = y.values
-    n = y.n
-    if y.is_exact:
-        total = sum(vals, Fraction(0))
-    else:
-        total = math.fsum(vals)
-    return PointSequence(
-        tuple((total - n * vals[len(vals) - 1 - i]) / n for i in range(len(vals)))
-    )
+    """Exact inverse of y_from_x: x_i = ((sum of y) - n*y_{n+2-i}) / n.
+
+    Floating x_i can round together too; that raises ValueError naming y."""
+    n, total = y.n, _total(y)
+    return _transformed(tuple((total - n * v) / n for v in reversed(y.values)), y, ("y", "x"))
 
 
 def sum_bounds(x: PointSequence) -> tuple:

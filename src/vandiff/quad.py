@@ -195,6 +195,14 @@ def integrate_over_rectangle(
         raise FloatingPointError("the slab totals overflow the float range") from None
 
 
+def _require_pole_outside(f: AnalyticFunction, lo: float, hi: float) -> None:
+    """Raise PoleError when the pole of f lies in [lo, hi], the range of
+    the coordinate sum."""
+    pole = f.pole()
+    if pole is not None and lo <= pole <= hi:
+        raise PoleError(f"pole {pole} lies inside the coordinate-sum range [{lo}, {hi}]")
+
+
 def integral_side(
     x: PointSequence,
     f: AnalyticFunction,
@@ -221,13 +229,8 @@ def integral_side(
         raise ValueError(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
     xf = PointSequence(x.as_floats())
     fn = f.derivative(n)
-    pole = fn.pole()
-    if pole is not None:
-        lo, hi = sum_bounds(xf)
-        if lo <= pole <= hi:
-            raise PoleError(
-                f"pole {pole} lies inside the coordinate-sum range [{lo}, {hi}]"
-            )
+    if fn.pole() is not None:
+        _require_pole_outside(fn, *sum_bounds(xf))
 
     def integrand(*trailing):
         diffs = vandermonde_product(trailing)

@@ -78,9 +78,12 @@ def test_exp_overflow_names_the_function():
         # math.sin(inf) raised a bare ValueError
         (["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0"], "sin:1e+308,0"),
         (["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0", "--check"], "sin:1e+308,0"),
-        (
+        # the integral route is the only one that runs, and it overflows
+        # on the derivative, not on f
+        pytest.param(
             ["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0", "--via-integral"],
-            "sin:1e+308,0",
+            "derivative 2 of sin:1e+308,0",
+            id="argv2-sin:1e+308,0",
         ),
         (
             ["divdiff", "--points", "0,1,2", "--function", "sin:1e308,0", "--format", "csv"],
@@ -113,6 +116,98 @@ def test_clustering_warning_is_one_stderr_line(argv):
     (line,) = proc.stderr.splitlines()
     assert line.startswith("warning: minimum point gap 1")
     assert line.endswith(" is below 1e-06 of the span 1.0")
+
+
+def run_main_merged(*argv):
+    """cli.main in-process with stdout and stderr in one buffer, so the
+    order of the record and the note shows."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        code = main(list(argv))
+    return code, buf.getvalue().splitlines()
+
+
+NOTE = "warning: minimum point gap 1e-07 is below 1e-06 of the span 1.0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divdiff", "--points=0,1e-7,1", "--function=exp:1"],
+        ["divdiff", "--points=0,1e-7,1", "--function=exp:1", "--check"],
+        ["divdiff", "--points=0,1e-7,1", "--function=exp:1", "--check", "--via-integral"],
+        ["divdiff", "--points=0,1e-7,1", "--function=exp:1", "--format=csv"],
+        # the note quotes x, whose gaps are those of y in reverse order
+        ["theorem1", "--x=0,1e-7,1", "--function=exp:1"],
+    ],
+)
+def test_clustering_note_follows_the_record(monkeypatch, argv):
+    for name in ("VANDIFF_ORDER", "VANDIFF_TOLERANCE", "VANDIFF_SEED", "VANDIFF_BUDGET"):
+        monkeypatch.delenv(name, raising=False)
+    code, lines = run_main_merged(*argv)
+    assert code in (0, 1)
+    assert lines[-1] == NOTE
+    assert lines[:-1] and not any(line.startswith("warning") for line in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["divdiff", "--points=0,1e-7,1", "--function=exp:1", "--via-integral"],
+        ["integral", "--x=0,1e-7,1", "--function=exp:1"],
+        ["integral", "--symbolic", "--x=0,1/10000000,1", "--function=poly:0,0,1"],
+        ["theorem1", "--symbolic", "--x=0,1/10000000,1", "--function=poly:0,0,1"],
+        ["transform", "--x=0,1e-7,1"],
+        ["transform", "--inverse", "--y=0,1e-7,1"],
+        ["divdiff", "--points=0,0.5,1", "--function=exp:1", "--check"],
+        ["theorem1", "--x=0,0.5,1", "--function=exp:1"],
+    ],
+)
+def test_no_clustering_note(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 0 and proc.stdout
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the table ran on clustered points, but a failing run prints only
+        # its error
+        (
+            ["divdiff", "--points=0,1e-9,1", "--function=recip:0.5", "--check"],
+            "pole 0.5 lies inside the coordinate-sum range [0.0, 1.0]",
+        ),
+        # x mapped back from increasing y round together
+        (
+            ["divdiff", "--points=0,1e-9,1e150", "--function=poly:0,0,1", "--check"],
+            "the transformed points x coincide in floating point for y = 0.0,1e-09,1e+150",
+        ),
+        (
+            ["divdiff", "--points=0,1e-9,1e150", "--function=poly:0,0,1", "--via-integral"],
+            "the transformed points x coincide in floating point for y = 0.0,1e-09,1e+150",
+        ),
+        (
+            ["transform", "--inverse", "--y", "0,1,1e17"],
+            "the transformed points x coincide in floating point for y = 0.0,1.0,1e+17",
+        ),
+        # --via-integral runs only the integral route, so its errors come
+        # from there
+        (
+            ["divdiff", "--points=0,1,2", "--function=recip:1e-310", "--via-integral"],
+            "pole 1e-310 lies inside the coordinate-sum range [0.0, 2.0]",
+        ),
+        # the x mapped back from y put the coordinate-sum range at
+        # [1.1e-16, 1.0], past the pole at y_1
+        (
+            ["divdiff", "--points=0,0.3,1", "--function=recip:0", "--via-integral"],
+            "pole 0.0 lies inside the coordinate-sum range [0.0, 1.0]",
+        ),
+    ],
+)
+def test_failing_run_prints_only_its_error(argv, message):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_other_warnings_pass_through_main(monkeypatch):

@@ -2,7 +2,8 @@
 
 Drives `cli.main` in-process over the argument grammar, valid and invalid
 values alike, and checks that each run exits 0, 1 or 2, prints no
-traceback, and writes only strict JSON (no NaN or Infinity).  Sizes stay
+traceback, writes at most one stderr line (the error line when it exits
+2), and writes only strict JSON (no NaN or Infinity).  Sizes stay
 small (n <= 3, order <= 8) so the whole test takes a few seconds.
 """
 
@@ -31,8 +32,11 @@ _TOKENS = st.lists(
     min_size=1,
     max_size=4,
 ).map(",".join)
+# clustered points, whose gap is below 1e-6 of the span; with the large
+# span their transforms collapse in floating point
+_CLUSTERED = st.sampled_from(["0,1e-9,1", "0,1e-9,1e150"])
 # increasing lists three times as often as arbitrary tokens
-POINTS = st.sampled_from([_INCREASING] * 3 + [_TOKENS]).flatmap(lambda s: s)
+POINTS = st.sampled_from([_INCREASING] * 3 + [_TOKENS, _CLUSTERED]).flatmap(lambda s: s)
 
 FUNCTIONS = st.one_of(
     st.lists(
@@ -180,6 +184,12 @@ def test_every_command_line_ends_cleanly(case):
     code, out, err = run_main(argv, env)
     assert code in (0, 1, 2), (argv, env, code, err)
     assert "Traceback" not in err
+    # argparse's usage errors print their usage text first and are exempt
+    if not err.startswith("usage: "):
+        lines = err.splitlines()
+        assert len(lines) <= 1, (argv, env, err)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, env, err)
     if any(a.startswith("--format=") and a != "--format=json" for a in argv):
         assert "NaN" not in out and "Infinity" not in out
     else:

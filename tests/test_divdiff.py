@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from vandiff.divdiff import (
-    ConditioningWarning,
     build_table,
     divided_difference,
     divided_difference_side,
@@ -111,7 +110,7 @@ def test_transcendental_function_forces_float_route():
     assert got == pytest.approx(math.e - 1, rel=1e-14)
 
 
-# -- validation and conditioning -------------------------------------------------------
+# -- validation ---------------------------------------------------------------------
 
 
 def test_repeated_points_rejected():
@@ -124,28 +123,3 @@ def test_repeated_points_rejected():
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="equal length"):
         build_table((0, 1), (1, 2, 3))
-
-
-def test_clustered_points_warn():
-    with pytest.warns(ConditioningWarning):
-        build_table((0.0, 1e-9, 1.0), (0.0, 1.0, 2.0))
-    with pytest.warns(ConditioningWarning):
-        sum_form([0.0, 1e-9, 1.0], Exponential(1.0))
-
-
-def test_exact_clustered_points_do_not_warn():
-    import warnings
-
-    values = (Fraction(0), Fraction(1, 10**7), Fraction(1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ConditioningWarning)
-        build_table(values, (Fraction(0), Fraction(1), Fraction(2)))
-        sum_form(values, monomial(2))
-
-
-def test_well_separated_points_do_not_warn():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ConditioningWarning)
-        build_table((0.0, 0.5, 1.0), (1.0, 2.0, 3.0))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from vandiff import identity
 from vandiff.divdiff import divided_difference
 from vandiff.exact import MultiPoly, var_family
-from vandiff.funcs import Exponential, Polynomial, Sine
+from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal, Sine
 from vandiff.identity import (
     DEFAULT_SEED,
     LEMMA_GROUPS,
@@ -249,6 +249,13 @@ def test_via_integral_agrees_with_table():
     f = Exponential(1.0)
     got = divided_difference_via_integral(y, f, order=20)
     assert got == pytest.approx(divided_difference(y, f), rel=1e-10)
+
+
+def test_via_integral_checks_the_pole_against_y():
+    # the floating x put the coordinate-sum range at [1.1e-16, 1.0]
+    y = PointSequence.floating([0, 0.3, 1])
+    with pytest.raises(PoleError, match=r"pole 0\.0 lies inside the coordinate-sum range \[0\.0, 1\.0\]"):
+        divided_difference_via_integral(y, Reciprocal(0.0), order=8)
 
 
 # -- chain rule and vertex sums ----------------------------------------------------------

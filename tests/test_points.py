@@ -132,6 +132,15 @@ def test_float_transform_that_collapses_names_x():
     assert y_from_x(exact_seq(0, 1, 10**17)).values == (1, 10**17, 10**17 + 1)
 
 
+def test_float_inverse_transform_that_collapses_names_y():
+    # (1e17 + 1 - 2) / 2 and (1e17 + 1) / 2 round to the same float
+    message = r"^the transformed points x coincide in floating point for y = 0\.0,1\.0,1e\+17$"
+    with pytest.raises(ValueError, match=message):
+        x_from_y(PointSequence.floating([0.0, 1.0, 1e17]))
+    y = exact_seq(0, 1, 10**17)
+    assert y_from_x(x_from_y(y)) == y
+
+
 def test_sum_bounds_are_extreme_y_values():
     x = exact_seq(0, 1, 2)
     assert sum_bounds(x) == (1, 3)
