@@ -99,6 +99,9 @@ class Polynomial(AnalyticFunction):
         acc = 0.0 if np is None else np.zeros_like(x, dtype=float)
         for c in cs:
             acc = acc * x + c
+        # a scalar Horner step overflows to inf without an exception
+        if np is None and not math.isfinite(acc):
+            raise OverflowError(_overflow(self))
         return acc
 
     def compose(self, inner: MultiPoly) -> MultiPoly:

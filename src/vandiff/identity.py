@@ -8,10 +8,12 @@ floating one (Gauss-Legendre cubature vs. the divided-difference table).
 The supporting derivative and vertex-sum identities are certified exactly
 by the seeded lemma suite.
 
-Every check returns an IdentityReport.  Suites generate cases in a fixed
-order from a seed, so serialized output is reproducible byte for byte.
-For multi-sample checks the report's lhs/rhs hold a witness pair: the
-first failing sample, or the last sample when all pass.
+Every check returns an IdentityReport, built and judged by _report alone:
+float sides go through the relative-error rule of _float_verdict, exact
+sides (rationals or polynomials) pass only when equal.  Suites generate
+cases in a fixed order from a seed, so serialized output is reproducible
+byte for byte.  For multi-sample checks the report's lhs/rhs hold a
+witness pair: the first failing sample, or the last sample when all pass.
 """
 
 from __future__ import annotations
@@ -108,30 +110,27 @@ def _float_verdict(lhs: float, rhs: float, tolerance: float):
     return abs_err, rel_err, rel_err <= tolerance
 
 
-def _exact_report(name, n, lhs, rhs, *, seed=None, config=None) -> IdentityReport:
-    """Report for an exact-pipeline comparison; errors are 0 on pass.
+def _report(
+    name, n, lhs, rhs, *, tolerance=0.0, seed=None, config=None
+) -> IdentityReport:
+    """The report of lhs against rhs; the type of rhs picks the rule.
 
-    On failure both error fields carry the same magnitude: a coefficient
-    1-norm for polynomials, the plain difference for rationals.
+    A float rhs goes through _float_verdict.  Exact sides pass only when
+    equal, with errors 0 on pass; on failure both error fields carry the
+    same magnitude: a coefficient 1-norm for polynomials, the plain
+    difference for rationals.
     """
-    if isinstance(lhs, MultiPoly) and isinstance(rhs, MultiPoly):
+    if isinstance(rhs, float):
+        abs_err, rel_err, passed = _float_verdict(lhs, rhs, tolerance)
+    elif isinstance(rhs, MultiPoly):
         diff = lhs - rhs
         passed = diff.is_zero
-        err = 0.0 if passed else float(sum(map(abs, diff.terms().values())))
+        abs_err = rel_err = float(sum(map(abs, diff.terms().values())))
     else:
         passed = lhs == rhs
-        err = 0.0 if passed else abs(float(lhs) - float(rhs))
+        abs_err = rel_err = 0.0 if passed else abs(float(lhs) - float(rhs))
     return IdentityReport(
-        name=name,
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=err,
-        rel_err=err,
-        passed=passed,
-        tolerance=0.0,
-        seed=seed,
-        config=dict(config or {}),
+        name, n, lhs, rhs, abs_err, rel_err, passed, tolerance, seed, dict(config or {})
     )
 
 
@@ -221,16 +220,11 @@ def check_identity_numeric(
     for any parallelism level.
     """
     cubature = integral_side(x, f, order, workers=workers, budget=budget)
-    rhs = float(divided_difference_side(x, f))
-    abs_err, rel_err, passed = _float_verdict(cubature.value, rhs, tolerance)
-    return IdentityReport(
-        name="integral-vs-divided-difference",
-        n=x.n,
-        lhs=cubature.value,
-        rhs=rhs,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=passed,
+    return _report(
+        "integral-vs-divided-difference",
+        x.n,
+        cubature.value,
+        float(divided_difference_side(x, f)),
         tolerance=tolerance,
         seed=seed,
         config={
@@ -271,7 +265,7 @@ def check_identity_exact(
     """
     lhs = exact_integral_value(x, f)
     rhs = vandermonde_product(x.values) * divided_difference(y_from_x(x), f)
-    return _exact_report(
+    return _report(
         "integral-vs-divided-difference",
         x.n,
         lhs,
@@ -299,7 +293,7 @@ def check_volume_symbolic(n: int) -> IdentityReport:
         value = value.integrate(v, a, b)
     # V(x) has n + 1 variables; the t-side call above has checked n
     rhs = _expand_vandermonde(n + 1, "x") * Fraction(1, math.factorial(n))
-    return _exact_report(
+    return _report(
         "vandermonde-volume",
         n,
         value,
@@ -350,7 +344,7 @@ def check_chain_rule(
     for k in range(n + 1):
         ek_psi = psi if k == 0 else apply_operator(MixedSum(k), psi, tvars)
         rhs = rhs + ek_psi * f.derivative(n - k).compose(s_poly)
-    return _exact_report(
+    return _report(
         "product-chain-rule",
         n,
         lhs,
@@ -402,7 +396,7 @@ def check_vertex_sum(
     tvars = var_family("t", n)
     lhs = _box_integral_of_mixed_derivative(phi, tvars, bounds)
     rhs = _full_vertex_sum(phi, tvars, bounds)
-    return _exact_report(
+    return _report(
         "mixed-derivative-vertex-sum",
         n,
         lhs,
@@ -434,7 +428,7 @@ def check_reduced_vertex_sum(
     reduced = _alternating_sum(
         phi, tvars, zip(range(n, -1, -1), monotone_vertices(x))
     )
-    report = _exact_report(
+    report = _report(
         "reduced-vertex-sum",
         n,
         lhs,
@@ -568,6 +562,14 @@ def _first_failure(pairs: Iterable[tuple]) -> tuple:
     return lhs, rhs
 
 
+def _witness_report(group, n, k, pairs, seed, cases) -> IdentityReport:
+    """Report group[n=..,k=..] on the witness of `cases` sampled pairs."""
+    lhs, rhs = _first_failure(pairs)
+    return _report(
+        f"{group}[n={n},k={k}]", n, lhs, rhs, seed=seed, config={"samples": cases}
+    )
+
+
 def _suite_esym(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
     # d/da e_k(a - t_1, ..., a - t_m) = (m - k + 1) e_{k-1}(same args)
     a = VarId("a", 1)
@@ -577,9 +579,7 @@ def _suite_esym(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
         for k in range(1, m + 1):
             lhs = elementary_symmetric(k, args).diff(a)
             rhs = (m - k + 1) * elementary_symmetric(k - 1, args)
-            yield _exact_report(
-                f"esym-derivative[m={m},k={k}]", m, lhs, rhs, seed=seed
-            )
+            yield _report(f"esym-derivative[m={m},k={k}]", m, lhs, rhs, seed=seed)
 
 
 def _suite_omega(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
@@ -593,9 +593,7 @@ def _suite_omega(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
         for k in range(0, m + 1):
             lhs = w.diff(a, k)
             rhs = math.factorial(k) * elementary_symmetric(m - k, args)
-            yield _exact_report(
-                f"omega-derivative[m={m},k={k}]", m, lhs, rhs, seed=seed
-            )
+            yield _report(f"omega-derivative[m={m},k={k}]", m, lhs, rhs, seed=seed)
 
 
 def _suite_pure_derivative(
@@ -627,13 +625,7 @@ def _suite_pure_derivative(
                             * elementary_symmetric(k, recips).as_constant()
                         )
 
-            yield _exact_report(
-                f"pure-derivative[n={n},k={k}]",
-                n,
-                *_first_failure(samples()),
-                seed=seed,
-                config={"samples": cases},
-            )
+            yield _witness_report("pure-derivative", n, k, samples(), seed, cases)
 
 
 def _suite_pure_vanish(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
@@ -642,21 +634,20 @@ def _suite_pure_vanish(n_max: int, seed: int, cases: int) -> Iterator[IdentityRe
         tvars = var_family("t", n)
         v_poly = vandermonde_poly(n, "t")
         pairs = ((v_poly.diff(t, n), MultiPoly.zero()) for t in tvars)
-        yield _exact_report(
-            f"pure-vanish[n={n}]", n, *_first_failure(pairs), seed=seed
-        )
+        yield _report(f"pure-vanish[n={n}]", n, *_first_failure(pairs), seed=seed)
 
 
 def _suite_operator_vanish(
-    group: str, n_max: int, seed: int, cases: int
+    group: str, make, n_max: int, seed: int, cases: int
 ) -> Iterator[IdentityReport]:
-    make = PureSum if group == "power-sum-vanish" else MixedSum
+    # the sums of order-k pure (PureSum) or mixed (MixedSum) partial
+    # derivatives of V vanish
     for n in range(1, n_max + 1):
         tvars = var_family("t", n)
         v_poly = vandermonde_poly(n, "t")
         for k in range(1, n + 1):
             out = apply_operator(make(k), v_poly, tvars)
-            yield _exact_report(
+            yield _report(
                 f"{group}[n={n},k={k}]", n, out, MultiPoly.zero(), seed=seed
             )
 
@@ -681,13 +672,7 @@ def _suite_newton(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]
                     rhs = rhs + (-1) ** (k - 1) * apply_operator(PureSum(k), p, tvars)
                     yield lhs, rhs
 
-            yield _exact_report(
-                f"newton[n={n},k={k}]",
-                n,
-                *_first_failure(samples()),
-                seed=seed,
-                config={"samples": cases},
-            )
+            yield _witness_report("newton", n, k, samples(), seed, cases)
 
 
 def _suite_chain_rule(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
@@ -742,8 +727,8 @@ _LEMMA_SUITES = {
     "omega-derivative": _suite_omega,
     "pure-derivative": _suite_pure_derivative,
     "pure-vanish": _suite_pure_vanish,
-    "power-sum-vanish": partial(_suite_operator_vanish, "power-sum-vanish"),
-    "mixed-sum-vanish": partial(_suite_operator_vanish, "mixed-sum-vanish"),
+    "power-sum-vanish": partial(_suite_operator_vanish, "power-sum-vanish", PureSum),
+    "mixed-sum-vanish": partial(_suite_operator_vanish, "mixed-sum-vanish", MixedSum),
     "newton": _suite_newton,
     "chain-rule": _suite_chain_rule,
     "vertex-sum": partial(_sampled, "vertex-sum", check=_vertex_sum_case),

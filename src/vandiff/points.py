@@ -111,8 +111,16 @@ def parse_points(text: str, exact: bool = False) -> PointSequence:
     return PointSequence(tuple(values))
 
 
-def _total(seq: PointSequence):
-    return sum(seq.values, Fraction(0)) if seq.is_exact else math.fsum(seq.values)
+def _total(seq: PointSequence, given: str):
+    # the message names the points the caller gave, as _transformed does
+    if seq.is_exact:
+        return sum(seq.values, Fraction(0))
+    try:
+        return math.fsum(seq.values)
+    except OverflowError:
+        raise ValueError(
+            f"the sum of {given} = {seq.render()} is beyond float range"
+        ) from None
 
 
 def _transformed(values: tuple, source: PointSequence, names: tuple) -> PointSequence:
@@ -133,7 +141,7 @@ def y_from_x(x: PointSequence) -> PointSequence:
 
     The gaps of y are those of x, but floating sums can round two y_i
     together; that raises ValueError naming x."""
-    total = _total(x)
+    total = _total(x, "x")
     return _transformed(tuple(total - v for v in reversed(x.values)), x, ("x", "y"))
 
 
@@ -141,7 +149,7 @@ def x_from_y(y: PointSequence) -> PointSequence:
     """Exact inverse of y_from_x: x_i = ((sum of y) - n*y_{n+2-i}) / n.
 
     Floating x_i can round together too; that raises ValueError naming y."""
-    n, total = y.n, _total(y)
+    n, total = y.n, _total(y, "y")
     return _transformed(tuple((total - n * v) / n for v in reversed(y.values)), y, ("y", "x"))
 
 

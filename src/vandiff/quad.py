@@ -74,8 +74,6 @@ def gauss_legendre(order: int) -> QuadratureRule:
 
     def legendre(z: float) -> tuple[float, float]:
         """P_order(z) and its derivative, by the three-term recurrence."""
-        if order == 1:
-            return z, 1.0
         p0, p1 = 1.0, z
         for j in range(2, order + 1):
             p0, p1 = p1, ((2 * j - 1) * z * p1 - (j - 1) * p0) / j

@@ -94,6 +94,12 @@ def test_exp_overflow_names_the_function():
         # so was 1 / -1e-310, and 1 / 5e-324
         (["divdiff", "--points", "0,1,2", "--function", "recip:1e-310"], "recip:1e-310"),
         (["divdiff", "--points", "0,1,2", "--function", "recip:5e-324"], "recip:5e-324"),
+        # so was a float Horner step of a polynomial
+        (["divdiff", "--points", "0,1e200", "--function", "poly:0,0,1"], "poly:0,0,1"),
+        (
+            ["divdiff", "--points", "1,2,3", "--function", "poly:0,0,1e308"],
+            "poly:0,0,1" + "0" * 308,
+        ),
     ],
 )
 def test_scalar_overflow_names_the_function(argv, name):
@@ -202,6 +208,23 @@ def test_no_clustering_note(argv):
         (
             ["divdiff", "--points=0,0.3,1", "--function=recip:0", "--via-integral"],
             "pole 0.0 lies inside the coordinate-sum range [0.0, 1.0]",
+        ),
+        # math.fsum's own text named no input; the integral route sums y
+        (
+            ["transform", "--x", "1e308,1.5e308"],
+            "the sum of x = 1e+308,1.5e+308 is beyond float range",
+        ),
+        (
+            ["transform", "--inverse", "--y", "1e308,1.5e308"],
+            "the sum of y = 1e+308,1.5e+308 is beyond float range",
+        ),
+        (
+            ["integral", "--x", "1e308,1.5e308", "--function", "recip:0"],
+            "the sum of x = 1e+308,1.5e+308 is beyond float range",
+        ),
+        (
+            ["divdiff", "--points", "1e308,1.5e308", "--function", "poly:0,1", "--check"],
+            "the sum of y = 1e+308,1.5e+308 is beyond float range",
         ),
     ],
 )

@@ -163,6 +163,17 @@ def test_reciprocal_scalar_overflow_is_named(f, x, name):
         f(x)
 
 
+def test_polynomial_scalar_overflow_is_named():
+    # a float Horner step overflows to inf without an exception
+    with pytest.raises(OverflowError, match=r"^poly:0,0,1 overflows the float range$"):
+        Polynomial((0, 0, 1))(1e200)
+    with pytest.raises(OverflowError, match=r"^poly:0,0,10{308} overflows the float range$"):
+        Polynomial((0, 0, Fraction(10**308)))(3.0)
+    # the exact path stays exact, and a finite float value passes
+    assert Polynomial((0, 0, 1))(Fraction(10**200)) == 10**400
+    assert Polynomial((0, 0, 1))(2.0**500) == 2.0**1000
+
+
 # -- the translate that cubature evaluates per slab -------------------------------
 
 

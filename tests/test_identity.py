@@ -14,10 +14,11 @@ from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal, Sine
 from vandiff.identity import (
     DEFAULT_SEED,
     LEMMA_GROUPS,
+    ZERO_GUARD,
     IdentityReport,
-    _exact_report,
     _float_verdict,
     _has_zero_property,
+    _report,
     check_chain_rule,
     check_identity_exact,
     check_identity_numeric,
@@ -524,13 +525,21 @@ def test_float_verdict_zero_guard():
 
 
 def test_exact_report_failure_carries_magnitude():
-    report = _exact_report("demo", 1, Fraction(3), Fraction(5))
+    report = _report("demo", 1, Fraction(3), Fraction(5))
     assert not report.passed
     assert report.abs_err == report.rel_err == 2.0
     p = tp(var_family("t", 1)[0])
-    report = _exact_report("demo", 1, 2 * p, -p)
+    report = _report("demo", 1, 2 * p, -p)
     assert not report.passed
     assert report.abs_err == 3.0
+    # float sides take the floating rule, here its absolute fallback
+    # for a reference below ZERO_GUARD
+    lhs, rhs = 5e-12, 1e-15
+    assert abs(rhs) < ZERO_GUARD
+    report = _report("demo", 1, lhs, rhs, tolerance=1e-9)
+    verdict = (report.abs_err, report.rel_err, report.passed)
+    assert verdict == _float_verdict(lhs, rhs, 1e-9)
+    assert not report.passed and report.tolerance == 1e-9
 
 
 def test_default_seed_in_suite_reports():

@@ -141,6 +141,14 @@ def test_float_inverse_transform_that_collapses_names_y():
     assert y_from_x(x_from_y(y)) == y
 
 
+@pytest.mark.parametrize("transform, given", [(y_from_x, "x"), (x_from_y, "y")])
+def test_float_sum_beyond_range_names_the_points(transform, given):
+    # math.fsum raised "intermediate overflow in fsum", naming no input
+    message = rf"^the sum of {given} = 1e\+308,1\.5e\+308 is beyond float range$"
+    with pytest.raises(ValueError, match=message):
+        transform(PointSequence.floating([1e308, 1.5e308]))
+
+
 def test_sum_bounds_are_extreme_y_values():
     x = exact_seq(0, 1, 2)
     assert sum_bounds(x) == (1, 3)
