@@ -379,6 +379,10 @@ def cmd_transform(args) -> int:
     )
     vx = vandermonde_product(x_seq.values)
     vy = vandermonde_product(y_seq.values)
+    if not (x_seq.is_exact or (math.isfinite(vx) and math.isfinite(vy))):
+        raise ValueError(
+            f"the difference product of x = {x_seq.render()} is beyond float range"
+        )
     if x_seq.is_exact:
         equal = vx == vy
     else:

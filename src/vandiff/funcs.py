@@ -11,9 +11,10 @@ sums (`on_grid`) and evaluates that per slab; a sinusoid prepares its
 translate by angle addition, so a slab costs no `np.sin` over the grid.
 
 Every family takes a scalar (float, Fraction, numpy scalar) or a numpy
-array.  numpy is imported only by the array branches, which only the
-cubature takes: an argument cannot be an array before numpy is loaded,
-so the exact pipeline and the table route never load it.
+array, and a polynomial a MultiPoly too.  Only the cubature takes the
+array branches: it alone loads numpy, as nothing is an array before
+numpy is, and it raises their overflow itself, in every thread, naming
+f.  A scalar that overflows raises OverflowError naming f here.
 
 CLI grammar: "poly:c0,c1,..." | "exp:rate" | "sin:freq,phase" | "recip:shift".
 """
@@ -84,7 +85,7 @@ class Polynomial(AnalyticFunction):
         return Polynomial(cs)
 
     def __call__(self, x):
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction, MultiPoly)):
             acc = Fraction(0)
             for c in reversed(self.coeffs):
                 acc = acc * x + c
@@ -106,13 +107,10 @@ class Polynomial(AnalyticFunction):
 
     def compose(self, inner: MultiPoly) -> MultiPoly:
         """Exact composition self(inner) by Horner in the polynomial ring."""
-        acc = MultiPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        return self(inner) if self.coeffs else MultiPoly.zero()
 
     def describe(self) -> str:
-        return "poly:" + ",".join(str(c) for c in self.coeffs) if self.coeffs else "poly:0"
+        return "poly:" + ",".join(map(_coefficient, self.coeffs)) if self.coeffs else "poly:0"
 
 
 @dataclass(frozen=True)
@@ -127,20 +125,17 @@ class Exponential(AnalyticFunction):
         return Exponential(self.rate, self.amplitude * _derivative_factor(self, self.rate, k))
 
     def __call__(self, x):
-        # errstate is per thread, so it is set here, where cubature
-        # workers evaluate the array
+        np = _numpy_if_array(x)
+        if np is not None:
+            return _scaled(self.amplitude, np.exp(_scaled(self.rate, x)))
         try:
-            np = _numpy_if_array(x)
-            if np is not None:
-                with np.errstate(over="raise"):
-                    return _scaled(self.amplitude, np.exp(_scaled(self.rate, x)))
             # math.exp(inf) is inf, and a float product overflows silently
             power = self.rate * float(x)
             value = self.amplitude * math.exp(power)
             if not (math.isfinite(power) and math.isfinite(value)):
                 raise OverflowError
             return value
-        except (OverflowError, FloatingPointError):
+        except OverflowError:
             raise OverflowError(_overflow(self)) from None
 
     def describe(self) -> str:
@@ -269,6 +264,18 @@ def _overflow(f: AnalyticFunction) -> str:
 def _scaled(factor: float, a):
     # x * 1.0 == x bit for bit, so a unit factor costs no pass over the grid
     return a if factor == 1.0 else factor * a
+
+
+def _coefficient(c: Fraction) -> str:
+    # an integer from 1e16 up prints as <digits>e<zeros> where that is
+    # shorter (3 zeros or more), as _num does for floats; Fraction parses
+    # it back exactly
+    text = str(c)
+    digits = text.rstrip("0")
+    zeros = len(text) - len(digits)
+    if zeros > 2 and c.denominator == 1 and abs(c) >= 10**16:
+        return f"{digits}e{zeros}"
+    return text
 
 
 def _num(v: float) -> str:

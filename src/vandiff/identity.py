@@ -6,7 +6,8 @@ of f at the transformed points y.  Two pipelines verify it, an exact one
 (rational points, polynomial f, the box integral by per-axis moments) and a
 floating one (Gauss-Legendre cubature vs. the divided-difference table).
 The supporting derivative and vertex-sum identities are certified exactly
-by the seeded lemma suite.
+by the seeded lemma suite; its registry _LEMMA_SUITES alone spells the
+group names, which each suite takes for its reports and its stream.
 
 Every check returns an IdentityReport, built and judged by _report alone:
 float sides go through the relative-error rule of _float_verdict, exact
@@ -25,10 +26,11 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
+# divided_difference is unused here; perfbench/tracing.py patches it by this name
 from .divdiff import divided_difference, divided_difference_side
 from .exact import MultiPoly, VarId, _coeff, _over_one_denominator, var_family
 from .funcs import AnalyticFunction, Polynomial
-from .points import PointSequence, monotone_vertices, x_from_y, y_from_x
+from .points import PointSequence, monotone_vertices, x_from_y
 from .quad import DEFAULT_BUDGET, _require_pole_outside, integral_side
 from .symfun import (
     SYMBOLIC_LIMIT,
@@ -91,8 +93,6 @@ def json_value(v):
         return str(v)
     if isinstance(v, MultiPoly):
         return v.render()
-    if isinstance(v, PointSequence):
-        return [json_value(u) for u in v.values]
     if isinstance(v, (list, tuple)):
         return [json_value(u) for u in v]
     if isinstance(v, dict):
@@ -260,16 +260,14 @@ def check_identity_exact(
     """Exact check: the box integral by moments vs. the rational table.
 
     Integrates V(t) * f^(n)(t_1 + ... + t_n) over R(x) exactly, by
-    exact_integral_value, then compares with V(x) times the divided
-    difference at y.  The two sides must agree as exact rationals.
+    exact_integral_value, then compares with the product side V(x) f[y]
+    of the table route.  The two sides must agree as exact rationals.
     """
-    lhs = exact_integral_value(x, f)
-    rhs = vandermonde_product(x.values) * divided_difference(y_from_x(x), f)
     return _report(
         "integral-vs-divided-difference",
         x.n,
-        lhs,
-        rhs,
+        exact_integral_value(x, f),
+        divided_difference_side(x, f),
         seed=seed,
         config={
             "pipeline": "exact",
@@ -380,13 +378,6 @@ def _full_vertex_sum(phi: MultiPoly, tvars, bounds) -> Fraction:
     )
 
 
-def _box_integral_of_mixed_derivative(phi: MultiPoly, tvars, bounds) -> Fraction:
-    value = phi
-    for v in tvars:
-        value = value.diff(v)
-    return _box_integral(value, tvars, bounds)
-
-
 def check_vertex_sum(
     bounds: Sequence[tuple], phi: MultiPoly, *, seed: int | None = None
 ) -> IdentityReport:
@@ -394,13 +385,11 @@ def check_vertex_sum(
     sum of phi over all 2^n vertices; exact equality required."""
     n = len(bounds)
     tvars = var_family("t", n)
-    lhs = _box_integral_of_mixed_derivative(phi, tvars, bounds)
-    rhs = _full_vertex_sum(phi, tvars, bounds)
     return _report(
         "mixed-derivative-vertex-sum",
         n,
-        lhs,
-        rhs,
+        _box_integral(apply_operator(MixedSum(n), phi, tvars), tvars, bounds),
+        _full_vertex_sum(phi, tvars, bounds),
         seed=seed,
         config={"bounds": [[a, b] for a, b in bounds]},
     )
@@ -422,7 +411,7 @@ def check_reduced_vertex_sum(
     tvars = var_family("t", n)
     phi = vandermonde_poly(n, "t") * g
     zero_property = _has_zero_property(phi, tvars)
-    lhs = _box_integral_of_mixed_derivative(phi, tvars, x.intervals)
+    lhs = _box_integral(apply_operator(MixedSum(n), phi, tvars), tvars, x.intervals)
     full = _full_vertex_sum(phi, tvars, x.intervals)
     # monotone vertex i (0-based) takes the lower bound on its first n - i axes
     reduced = _alternating_sum(
@@ -551,6 +540,8 @@ def floating_suite_points(
 
 # -- lemma suite ----------------------------------------------------------------
 
+Reports = Iterator[IdentityReport]
+
 
 def _first_failure(pairs: Iterable[tuple]) -> tuple:
     """The witness of a check over several (lhs, rhs) pairs: the first pair
@@ -570,7 +561,7 @@ def _witness_report(group, n, k, pairs, seed, cases) -> IdentityReport:
     )
 
 
-def _suite_esym(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
+def _suite_esym(group: str, n_max: int, seed: int, cases: int) -> Reports:
     # d/da e_k(a - t_1, ..., a - t_m) = (m - k + 1) e_{k-1}(same args)
     a = VarId("a", 1)
     for m in range(1, n_max + 1):
@@ -579,10 +570,10 @@ def _suite_esym(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
         for k in range(1, m + 1):
             lhs = elementary_symmetric(k, args).diff(a)
             rhs = (m - k + 1) * elementary_symmetric(k - 1, args)
-            yield _report(f"esym-derivative[m={m},k={k}]", m, lhs, rhs, seed=seed)
+            yield _report(f"{group}[m={m},k={k}]", m, lhs, rhs, seed=seed)
 
 
-def _suite_omega(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
+def _suite_omega(group: str, n_max: int, seed: int, cases: int) -> Reports:
     # the k-th derivative of the monic root product equals k! e_{m-k}
     a = VarId("a", 1)
     for m in range(0, n_max + 1):
@@ -593,18 +584,16 @@ def _suite_omega(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
         for k in range(0, m + 1):
             lhs = w.diff(a, k)
             rhs = math.factorial(k) * elementary_symmetric(m - k, args)
-            yield _report(f"omega-derivative[m={m},k={k}]", m, lhs, rhs, seed=seed)
+            yield _report(f"{group}[m={m},k={k}]", m, lhs, rhs, seed=seed)
 
 
-def _suite_pure_derivative(
-    n_max: int, seed: int, cases: int
-) -> Iterator[IdentityReport]:
+def _suite_pure_derivative(group: str, n_max: int, seed: int, cases: int) -> Reports:
     # the k-th pure derivative of V in t_i equals k! V e_k of the
     # reciprocals 1/(t_i - t_j), checked at random distinct rational points
     for n in range(2, n_max + 1):
         tvars = var_family("t", n)
         v_poly = vandermonde_poly(n, "t")
-        rng = _group_rng(seed, "pure-derivative", n)
+        rng = _group_rng(seed, group, n)
         for k in range(1, n):
             derivs = [v_poly.diff(t, k) for t in tvars]
 
@@ -612,7 +601,7 @@ def _suite_pure_derivative(
                 for _ in range(cases):
                     vals = random_increasing_rationals(rng, n, max_abs=30).values
                     assignment = dict(zip(tvars, vals))
-                    v_val = v_poly.eval(assignment)
+                    v_val = vandermonde_product(vals)
                     for i in range(n):
                         recips = [
                             MultiPoly.const(Fraction(1, 1) / (vals[i] - vals[j]))
@@ -625,21 +614,19 @@ def _suite_pure_derivative(
                             * elementary_symmetric(k, recips).as_constant()
                         )
 
-            yield _witness_report("pure-derivative", n, k, samples(), seed, cases)
+            yield _witness_report(group, n, k, samples(), seed, cases)
 
 
-def _suite_pure_vanish(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
+def _suite_pure_vanish(group: str, n_max: int, seed: int, cases: int) -> Reports:
     # the n-th pure derivative of V in any single variable is zero
     for n in range(1, n_max + 1):
         tvars = var_family("t", n)
         v_poly = vandermonde_poly(n, "t")
         pairs = ((v_poly.diff(t, n), MultiPoly.zero()) for t in tvars)
-        yield _report(f"pure-vanish[n={n}]", n, *_first_failure(pairs), seed=seed)
+        yield _report(f"{group}[n={n}]", n, *_first_failure(pairs), seed=seed)
 
 
-def _suite_operator_vanish(
-    group: str, make, n_max: int, seed: int, cases: int
-) -> Iterator[IdentityReport]:
+def _suite_operator_vanish(group: str, n_max: int, seed: int, cases: int, make) -> Reports:
     # the sums of order-k pure (PureSum) or mixed (MixedSum) partial
     # derivatives of V vanish
     for n in range(1, n_max + 1):
@@ -652,12 +639,12 @@ def _suite_operator_vanish(
             )
 
 
-def _suite_newton(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
+def _suite_newton(group: str, n_max: int, seed: int, cases: int) -> Reports:
     # operator form of Newton's identities:
     # k E_k = sum_i (-1)^(i-1) E_{k-i} P_i + (-1)^(k-1) P_k
     for n in range(1, min(n_max, 4) + 1):
         tvars = var_family("t", n)
-        rng = _group_rng(seed, "newton", n)
+        rng = _group_rng(seed, group, n)
         for k in range(1, n + 1):
 
             def samples():
@@ -672,28 +659,26 @@ def _suite_newton(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]
                     rhs = rhs + (-1) ** (k - 1) * apply_operator(PureSum(k), p, tvars)
                     yield lhs, rhs
 
-            yield _witness_report("newton", n, k, samples(), seed, cases)
+            yield _witness_report(group, n, k, samples(), seed, cases)
 
 
-def _suite_chain_rule(n_max: int, seed: int, cases: int) -> Iterator[IdentityReport]:
+def _suite_chain_rule(group: str, n_max: int, seed: int, cases: int) -> Reports:
     # not a _sampled group: its closing vandermonde case draws from the
     # same stream as the random cases
     for n in range(1, min(n_max, 4) + 1):
         tvars = var_family("t", n)
-        rng = _group_rng(seed, "chain-rule", n)
+        rng = _group_rng(seed, group, n)
         for j in range(cases):
             psi = random_poly(rng, tvars)
             f = random_polynomial_function(rng, rng.randint(n, n + 2))
             report = check_chain_rule(n, psi, f, seed=seed)
-            yield replace(report, name=f"chain-rule[n={n},case={j}]")
+            yield replace(report, name=f"{group}[n={n},case={j}]")
         f = random_polynomial_function(rng, n + 1)
         report = check_chain_rule(n, vandermonde_poly(n, "t"), f, seed=seed)
-        yield replace(report, name=f"chain-rule[n={n},case=vandermonde]")
+        yield replace(report, name=f"{group}[n={n},case=vandermonde]")
 
 
-def _sampled(
-    group: str, n_max: int, seed: int, cases: int, check
-) -> Iterator[IdentityReport]:
+def _sampled(group: str, n_max: int, seed: int, cases: int, check) -> Reports:
     """Reports group[n=..,case=j] for n = 1..min(n_max, 4), j < cases; each
     is check(rng, tvars, seed) on a case drawn from the group's n stream."""
     for n in range(1, min(n_max, 4) + 1):
@@ -721,20 +706,18 @@ def _require_n_max(n_max: int) -> None:
         raise ValueError(f"n_max must be at {bound}, got {n_max}")
 
 
-# group name -> suite(n_max, seed, cases), in report order
+# group name -> suite(group, n_max, seed, cases), in report order
 _LEMMA_SUITES = {
     "esym-derivative": _suite_esym,
     "omega-derivative": _suite_omega,
     "pure-derivative": _suite_pure_derivative,
     "pure-vanish": _suite_pure_vanish,
-    "power-sum-vanish": partial(_suite_operator_vanish, "power-sum-vanish", PureSum),
-    "mixed-sum-vanish": partial(_suite_operator_vanish, "mixed-sum-vanish", MixedSum),
+    "power-sum-vanish": partial(_suite_operator_vanish, make=PureSum),
+    "mixed-sum-vanish": partial(_suite_operator_vanish, make=MixedSum),
     "newton": _suite_newton,
     "chain-rule": _suite_chain_rule,
-    "vertex-sum": partial(_sampled, "vertex-sum", check=_vertex_sum_case),
-    "reduced-vertex-sum": partial(
-        _sampled, "reduced-vertex-sum", check=_reduced_vertex_sum_case
-    ),
+    "vertex-sum": partial(_sampled, check=_vertex_sum_case),
+    "reduced-vertex-sum": partial(_sampled, check=_reduced_vertex_sum_case),
 }
 LEMMA_GROUPS = tuple(_LEMMA_SUITES)
 
@@ -768,7 +751,7 @@ def run_lemma_suite(
     out: list[IdentityReport] = []
     for group, suite in _LEMMA_SUITES.items():
         if group in chosen:
-            out.extend(suite(n_max, seed, cases))
+            out.extend(suite(group, n_max, seed, cases))
     return out
 
 

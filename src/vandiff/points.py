@@ -125,11 +125,16 @@ def _total(seq: PointSequence, given: str):
 
 def _transformed(values: tuple, source: PointSequence, names: tuple) -> PointSequence:
     # the transform keeps the gaps, but floating sums can round two points
-    # together; the message names the points the caller gave
+    # together or past float range; the message names the points the caller gave
+    given, made = names
+    if not source.is_exact and not all(map(math.isfinite, values)):
+        raise ValueError(
+            f"the transformed points {made} of {given} = {source.render()} "
+            "are beyond float range"
+        )
     try:
         return PointSequence(values)
     except ValueError:
-        given, made = names
         raise ValueError(
             f"the transformed points {made} coincide in floating point "
             f"for {given} = {source.render()}"

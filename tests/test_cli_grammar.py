@@ -14,7 +14,7 @@ import os
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vandiff import cli
 from vandiff.identity import LEMMA_GROUPS
@@ -179,6 +179,12 @@ EDGE_INPUTS = [
 
 @settings(max_examples=120)
 @given(command_lines())
+# clustered points, which the draws reach about once per run: the table
+# route and its note, and the collapse of the transformed points
+@example((["divdiff", "--points=0,1e-9,1", "--function=exp:1"], {}))
+@example((["divdiff", "--points=0,1e-9,1", "--function=exp:1", "--check"], {}))
+@example((["theorem1", "--x=0,1e-9,1", "--function=exp:1"], {}))
+@example((["divdiff", "--points=0,1e-9,1e150", "--function=poly:0,0,1", "--check"], {}))
 def test_every_command_line_ends_cleanly(case):
     argv, env = case
     code, out, err = run_main(argv, env)
@@ -218,11 +224,7 @@ OVERFLOW_INPUTS = [
     (["integral", "--x=0,1,2", "--function=exp:800", "--workers=2"], "exp:800"),
     (["theorem1", "--x=0,1,2", "--function=exp:1e200"], "exp:1e+200"),
     (["theorem1", "--x=0,1,2", "--function=sin:1e200"], "sin:1e+200"),
-    pytest.param(
-        ["theorem1", "--x=0,1,2", "--function=poly:1e400"],
-        f"poly:{10**400}",
-        id="argv11-poly:1e400",
-    ),
+    (["theorem1", "--x=0,1,2", "--function=poly:1e400"], "poly:1e400"),
     (["theorem1", "--x=0,1,2,3", "--function=sin:5e102"], "sin:5e+102"),
     (["integral", "--x=0,1,2,3", "--function=sin:5e102", "--workers=2"], "sin:5e+102"),
     # the box's weights overflow before the integrand does

@@ -70,11 +70,20 @@ def test_polynomial_compose_matches_calls():
     sym = p.compose(MultiPoly.variable(v))
     for x in (Fraction(-2), Fraction(0), Fraction(5, 7)):
         assert sym.eval({v: x}) == p(x)
+    # a constant and the zero polynomial compose to polynomials too
+    assert Polynomial((3,)).compose(MultiPoly.variable(v)) == MultiPoly.const(3)
+    zero = Polynomial(()).compose(MultiPoly.variable(v))
+    assert isinstance(zero, MultiPoly) and zero.is_zero
 
 
 def test_polynomial_describe():
     assert Polynomial((0, Fraction(1, 2))).describe() == "poly:0,1/2"
     assert Polynomial(()).describe() == "poly:0"
+    # only an integer from 1e16 up that the exponent form shortens changes
+    p = Polynomial((10**16, -(10**308), 12345678901234560, 10**15, Fraction(10**20, 3)))
+    assert p.describe() == (
+        "poly:1e16,-1e308,12345678901234560,1000000000000000,100000000000000000000/3"
+    )
 
 
 # -- transcendental families ------------------------------------------------------
@@ -167,7 +176,7 @@ def test_polynomial_scalar_overflow_is_named():
     # a float Horner step overflows to inf without an exception
     with pytest.raises(OverflowError, match=r"^poly:0,0,1 overflows the float range$"):
         Polynomial((0, 0, 1))(1e200)
-    with pytest.raises(OverflowError, match=r"^poly:0,0,10{308} overflows the float range$"):
+    with pytest.raises(OverflowError, match=r"^poly:0,0,1e308 overflows the float range$"):
         Polynomial((0, 0, Fraction(10**308)))(3.0)
     # the exact path stays exact, and a finite float value passes
     assert Polynomial((0, 0, 1))(Fraction(10**200)) == 10**400
@@ -385,6 +394,8 @@ def test_parse_errors():
         "sin:2,0",
         "sin:1.5,0.5",
         "recip:10",
+        "poly:0,0,1e308",
+        "poly:-25e20,1/3,1e16",
     ],
 )
 def test_describe_round_trips(text):
