@@ -16,6 +16,7 @@ floating points; the command line says so in a note of its own.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .funcs import AnalyticFunction, Polynomial
@@ -84,5 +85,8 @@ def divided_difference_sum_form(points: PointSequence, f: AnalyticFunction):
 def divided_difference_side(x: PointSequence, f: AnalyticFunction):
     """Product side of the main identity: V(x) times the divided
     difference of f at the sum-complement points y."""
-    seq = PointSequence(_table_values(x, f))
+    values = _table_values(x, f)
+    # the same coordinate objects have passed x's increasing and gap checks
+    same = all(map(operator.is_, values, x.values))
+    seq = x if same else PointSequence(values)
     return vandermonde_product(seq.values) * divided_difference(y_from_x(seq), f)

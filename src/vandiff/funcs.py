@@ -6,9 +6,13 @@ shifted reciprocals (which stress quadrature when the pole sits near the
 integration region).  Differentiation stays inside each family, so the
 n-th derivative needed by the integral route is always available in
 closed form -- no numerical differentiation anywhere.  Cubature asks a
-function once per call for its translate over the grid of trailing-axis
-sums (`on_grid`) and evaluates that per slab; a sinusoid prepares its
-translate by angle addition, so a slab costs no `np.sin` over the grid.
+function once per call to split its translate over the grid T of
+trailing-axis sums into separable terms phi_r(s) * G_r(T) (`split`): an
+exponential has one, centred so that each factor stays within about the
+range of the translate itself, and a sinusoid two, by angle addition.
+The grids G_r are fixed for the call, so a block of slabs costs no pass
+of f over the grid; a polynomial or reciprocal has no split, and each
+slab evaluates it at s + T.
 
 Every family takes a scalar (float, Fraction, numpy scalar) or a numpy
 array, and a polynomial a MultiPoly too.  Only the cubature takes the
@@ -35,7 +39,8 @@ class PoleError(ValueError):
 
 class AnalyticFunction:
     """Base interface: callable, closed-form derivatives, optional pole,
-    and a translate over a fixed grid, prepared once and called per shift."""
+    and an optional split of the translate over a fixed grid into
+    separable terms."""
 
     def derivative(self, k: int = 1) -> "AnalyticFunction":
         raise NotImplementedError
@@ -43,10 +48,12 @@ class AnalyticFunction:
     def __call__(self, x):
         raise NotImplementedError
 
-    def on_grid(self, total):
-        """A callable g with g(s) == self(s + total) for a float s; a family
-        whose translate factors moves the work on `total` into this call."""
-        return lambda s: self(s + total)
+    def split(self, total, centre: float) -> tuple:
+        """The translate over the array `total` as separable terms: pairs
+        (phi, grid) with the sum of phi(s) * grid equal to self(s + total),
+        up to rounding, for an array s of shifts about `centre`.  A family
+        whose translate does not separate has none."""
+        return ()
 
     def pole(self) -> float | None:
         return None
@@ -138,6 +145,13 @@ class Exponential(AnalyticFunction):
         except OverflowError:
             raise OverflowError(_overflow(self)) from None
 
+    def split(self, total, centre: float) -> tuple:
+        """amplitude * exp(rate * (s + T)) = exp(rate * (s - c)) * self(T + c)
+        with c the centre: one term.  With c amid the shifts, neither
+        factor reaches much past the range of the translate itself."""
+        np = _numpy_if_array(total)
+        return ((lambda s: np.exp(_scaled(self.rate, s - centre)), self(total + centre)),)
+
     def describe(self) -> str:
         base = f"exp:{_num(self.rate)}"
         return base if self.amplitude == 1.0 else f"{_num(self.amplitude)}*{base}"
@@ -168,22 +182,24 @@ class Sine(AnalyticFunction):
             raise OverflowError(_overflow(self))
         return self.amplitude * math.sin(angle)
 
-    def on_grid(self, total):
-        """sin(w(s + T) + p) = sin(wT + p) cos(ws) + cos(wT + p) sin(ws): the
-        two grids in T are formed here, and a shift costs two scalars."""
-        import numpy as np
-
+    def split(self, total, centre: float) -> tuple:
+        """sin(w(s + T) + p) = sin(wT + p) cos(ws) + cos(wT + p) sin(ws):
+        the two grids in T are formed here, and a shift costs cos and sin
+        of ws.  Both factors are bounded, so the centre is not used.  A
+        non-finite ws raises FloatingPointError naming self."""
+        np = _numpy_if_array(total)
         angle = _scaled(self.frequency, total) + self.phase
         a = _scaled(self.amplitude, np.sin(angle))
         b = _scaled(self.amplitude, np.cos(angle))
 
-        def at(s: float):
-            ws = self.frequency * s
-            if not math.isfinite(ws):
+        def turn(s):
+            with np.errstate(over="ignore"):
+                ws = _scaled(self.frequency, s)
+            if not np.isfinite(ws).all():
                 raise FloatingPointError(_overflow(self))
-            return a * math.cos(ws) + b * math.sin(ws)
+            return ws
 
-        return at
+        return (lambda s: np.cos(turn(s)), a), (lambda s: np.sin(turn(s)), b)
 
     def describe(self) -> str:
         base = f"sin:{_num(self.frequency)},{_num(self.phase)}"

@@ -5,22 +5,27 @@ A box is given by its intervals, one (lower, upper) pair per axis, as
 
 Non-adaptive by design: the integrands are smooth on a box, the rule
 converges spectrally, and a fixed rule keeps output bit-reproducible.
-The node grid is cut into slabs, one per node of the leading axes.  An
-integrand has two stages: it is called once per integration with the
-trailing axes as broadcast views, so no node coordinate is gathered or
-copied and whatever depends on those axes alone is computed once; the
-slab function it returns is called once per slab with the leading-axis
-coordinates.  `integral_side` uses the first stage to prepare the n-th
-derivative's translate over the trailing-axis sums (`on_grid`), so a
-slab only shifts it by the sum of its leading coordinates.  Each slab is
-reduced with numpy's deterministic pairwise sum and the slab totals are
-combined with math.fsum, so the result is identical for any worker count.
-An evaluation budget guards against infeasible order/dimension
-combinations instead of silently truncating.
+The node grid is cut into slabs, one per node of the leading axes, and
+the slabs into fixed blocks of `order`, which differ only in the last
+leading axis.  An integrand has two stages: it is called once per
+integration with the slab's weight grid and the trailing axes as
+broadcast views, so whatever depends on those axes alone is computed
+once; the block function it returns is called once per block with the
+block's leading coordinates and returns one weighted total per slab.
+`integral_side` uses the first stage to form the kernel K0 = weights *
+V(trailing nodes), and a block only contracts it, along each trailing
+axis, with the vectors of differences between that axis and the slab's
+leading coordinates.  Where f^(n) splits into separable terms (`split`),
+the kernels K0 * G_r are fixed and a whole block is contracted in a few
+einsum passes; otherwise each slab forms K0 * f^(n) and contracts it on
+its own.  einsum runs its own loops, so no BLAS call enters the result.
+The slab totals are combined with math.fsum, so the result is identical
+for any worker count.  An evaluation budget guards against infeasible
+order/dimension combinations instead of silently truncating.
 
-numpy is imported by `integrate_over_rectangle` when it runs, so that
-importing this module, as every import of the package does, leaves it
-unloaded; the Gauss-Legendre rule itself is plain Python.
+numpy is imported by the functions that handle arrays when they run,
+so that importing this module, as every import of the package does,
+leaves it unloaded; the Gauss-Legendre rule itself is plain Python.
 """
 
 from __future__ import annotations
@@ -114,18 +119,22 @@ def integrate_over_rectangle(
 
     `intervals` holds one (a, b) pair of bounds per axis, so its length is
     the dimension n; each bound is converted to float.  The grid is
-    integrated one slab at a time.  The trailing m axes, m the largest
-    with order**m <= _CHUNK, span a slab; the k = n - m leading axes pick
-    it.  The integrand has two stages.  It is called once per call of
-    this function, with one broadcast view per trailing axis j of shape
-    (1,)*j + (order,) + (1,)*(m-1-j), and returns a slab function.  That
-    is called once per slab with one float per leading axis, and its
-    result must broadcast to the slab's grid (order,)*m, so a lower-rank
-    value, such as a plain function of one axis, is allowed.  The slab
-    weight grid is likewise formed once.  An overflow in the weights, in
-    either stage of the integrand, in a slab's total or in their sum
-    raises FloatingPointError.  At most min(workers, number of slabs)
-    threads sum the slabs; workers below 1 raise ValueError.
+    integrated one block of slabs at a time.  The trailing m axes, m the
+    largest with order**m <= _CHUNK, span a slab; the k = n - m leading
+    axes pick it, and a block is the `order` slabs that differ only in
+    the last leading axis (without leading axes, the one slab).  The
+    integrand has two stages.  It is called once per call of this
+    function with the slab's weight grid, of shape (order,)*m, then one
+    broadcast view per trailing axis j, of shape
+    (1,)*j + (order,) + (1,)*(m-1-j), and returns a block function.  That
+    is called once per block with one array per leading axis, holding the
+    block's coordinates on that axis, and returns one weighted trailing
+    total per slab of the block: the sum over the slab's nodes of the
+    weight grid times the integrand.  Each total times its slab's leading
+    weights is one partial sum.  An overflow in the weights, in either
+    stage of the integrand, in a partial sum or in their sum raises
+    FloatingPointError.  At most min(workers, number of blocks) threads
+    sum the blocks; workers below 1 raise ValueError.
     """
     import numpy as np
 
@@ -151,7 +160,7 @@ def integrate_over_rectangle(
     while order**m > _CHUNK:
         m -= 1
     k = n - m
-    lead_nodes = [a.tolist() for a in axis_nodes[:k]]
+    lead_nodes = axis_nodes[:k]
     lead_weights = [w.tolist() for w in axis_weights[:k]]
 
     def view(axis: int) -> tuple[int, ...]:
@@ -159,34 +168,44 @@ def integrate_over_rectangle(
 
     trailing = [axis_nodes[i].reshape(view(i)) for i in range(k, n)]
 
-    def slab_sum(index: tuple[int, ...]) -> float:
-        lead = [lead_nodes[i][j] for i, j in enumerate(index)]
-        w = math.prod(lead_weights[i][j] for i, j in enumerate(index))
-        return w * float(np.sum(slab_weights * slab_integrand(*lead)))
+    def block_sum(index: tuple[int, ...]) -> list[float]:
+        # index picks a node on each leading axis but the last, which the
+        # block spans
+        lead = [np.full(order, lead_nodes[i][j]) for i, j in enumerate(index)]
+        fixed = [lead_weights[i][j] for i, j in enumerate(index)]
+        if k:
+            lead.append(lead_nodes[-1])
+            weights = [math.prod(fixed + [w]) for w in lead_weights[-1]]
+        else:
+            weights = [1.0]
+        totals = block_integrand(*lead)
+        return [w * float(t) for w, t in zip(weights, totals, strict=True)]
 
-    def worker_slab_sum(index: tuple[int, ...]) -> float:
-        # errstate is per thread, so a worker sets it for each slab it sums
+    def worker_block_sum(index: tuple[int, ...]) -> list[float]:
+        # errstate is per thread, so a worker sets it for each block it sums
         with np.errstate(over="raise"):
-            return slab_sum(index)
+            return block_sum(index)
 
-    slabs = itertools.product(range(order), repeat=k)  # lexicographic order
-    workers = min(workers, order**k)  # no thread without a slab to sum
+    spread = max(k - 1, 0)  # the leading axes that a block does not span
+    blocks = itertools.product(range(order), repeat=spread)  # lexicographic
+    workers = min(workers, order**spread)  # no thread without a block to sum
     with np.errstate(over="raise"):
         slab_weights = axis_weights[k].reshape(view(k))
         for i in range(k + 1, n):
             slab_weights = slab_weights * axis_weights[i].reshape(view(i))
-        slab_integrand = integrand(*trailing)
+        block_integrand = integrand(slab_weights, *trailing)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(worker_slab_sum, slabs))
+                per_block = list(pool.map(worker_block_sum, blocks))
         else:
-            partials = [slab_sum(s) for s in slabs]
-    # a slab total times its leading weights is a Python float, which
+            per_block = [block_sum(b) for b in blocks]
+    partials = list(itertools.chain.from_iterable(per_block))
+    # a total times its leading weights is a Python float, which
     # overflows to inf without raising
     if not all(map(math.isfinite, partials)):
         raise FloatingPointError("a slab total overflows the float range")
     # fsum is exactly rounded, so combining fixed slab totals cannot
-    # depend on how slabs were assigned to workers
+    # depend on how blocks were assigned to workers
     try:
         return CubatureResult(math.fsum(partials), total)
     except OverflowError:
@@ -212,15 +231,19 @@ def integral_side(
     """Integral side of the main identity: the pairwise-difference product
     times the n-th derivative of f at the coordinate sum, over R(x).
 
-    The difference product is evaluated at each node in product form, not
-    via the expanded polynomial.  Once per call, `vandermonde_product`
-    gives the differences among the trailing axes and their coordinate sum
-    is formed, and with leading axes so is `fn.on_grid` of that sum, the
-    translate of f^(n); per slab, the differences that involve a leading
-    axis are vectors along one trailing axis each, their outer product is
-    the only other grid the difference product needs, and f^(n) is the
-    translate at the sum of the leading coordinates.  Without leading
-    axes the one slab evaluates f^(n) at the sum directly.
+    The difference product is evaluated in product form, not via the
+    expanded polynomial: with leading coordinates l_i and trailing ones
+    u_j it is V(l) * prod_{i,j} (u_j - l_i) * V(u).  Once per call the
+    trailing coordinate sum T is formed, and without leading axes the one
+    slab sums the weights times V(u) * f^(n)(T).  With leading axes the
+    kernel K0 = weights * V(u) is formed once, and a slab's total is
+    V(l) times K0 * f^(n)(s + T), s the slab's leading sum, contracted
+    along each trailing axis j with h_j[q] = prod_i (u_jq - l_i); the grid
+    of their outer product is never built.  Where f^(n) splits, that is
+    the sum over its terms of phi_r(s) times K0 * G_r contracted, with the
+    split centred at the midpoint of the leading sums, so the fixed
+    kernels K0 * G_r meet a whole block's vectors at once; otherwise
+    K0 * f^(n)(s + T) is formed and contracted one slab at a time.
     """
     n = x.n
     if n > MAX_DIMENSION:
@@ -229,39 +252,65 @@ def integral_side(
     fn = f.derivative(n)
     if fn.pole() is not None:
         _require_pole_outside(fn, *sum_bounds(xf))
+    intervals = xf.intervals
 
-    def integrand(*trailing):
+    def integrand(weights, *trailing):
+        import numpy as np
+
         diffs = vandermonde_product(trailing)
         total = trailing[0]
         for t in trailing[1:]:
             total = total + t
-
         if len(trailing) == n:
-            return lambda: diffs * fn(total)
-        at = fn.on_grid(total)  # f^(n)(s + total) for a slab's lead sum s
+            # summed here, so the block function holds no grid: freed with
+            # it, the grids let malloc trim the heap top after every call,
+            # and the next call faulted those pages back in
+            whole = np.sum(weights * (diffs * fn(total)))
+            return lambda: (whole,)
 
-        def slab(*lead):
-            # prod_i (u_j - l_i) for each trailing axis u_j, leading axes first
+        kernel = weights * diffs
+        axes = [u.ravel() for u in trailing]
+        # the midpoint of the range of the leading sums
+        centre = sum(0.5 * (a + b) for a, b in intervals[: n - len(trailing)])
+        terms = [(phi, kernel * grid) for phi, grid in fn.split(total, centre)]
+
+        def block(*lead):
+            # h[z, q] = prod_i (u_q - l_i) over slab z's leading coordinates l
             factors = []
-            for u in trailing:
-                g = u - lead[0]
+            for u in axes:
+                h = u - lead[0][:, None]
                 for t in lead[1:]:
-                    g *= u - t
-                factors.append(g)
-            factors[0] *= vandermonde_product(lead)
-            grid = factors[0]
-            for g in factors[1:]:
-                grid = grid * g
-            grid *= diffs
-            return grid * at(sum(lead))
+                    h *= u - t[:, None]
+                factors.append(h)
+            sums = sum(lead)
+            if terms:
+                totals = sum(phi(sums) * _contract(g, factors) for phi, g in terms)
+            else:
+                totals = np.array([
+                    _contract(kernel * fn(s + total), [h[z : z + 1] for h in factors])[0]
+                    for z, s in enumerate(sums)
+                ])
+            return vandermonde_product(lead) * totals
 
-        return slab
+        return block
 
     try:
         return integrate_over_rectangle(
-            xf.intervals, integrand, order, workers=workers, budget=budget
+            intervals, integrand, order, workers=workers, budget=budget
         )
     except FloatingPointError:
         raise OverflowError(
             f"the cubature for {f.describe()} overflows the float range"
         ) from None
+
+
+def _contract(grid, factors):
+    """sum over q of grid[q_1, ..., q_m] * prod_j factors[j][z, q_j], one
+    total per row z.  einsum without `optimize` runs its own loops and no
+    BLAS call, so the bits do not depend on a BLAS thread count."""
+    import numpy as np
+
+    acc = np.einsum("zq,q...->z...", factors[0], grid)
+    for h in factors[1:]:
+        acc = np.einsum("zq,zq...->z...", h, acc)
+    return acc

@@ -71,6 +71,15 @@ def test_exp_overflow_names_the_function():
     assert proc.stderr == "error: the cubature for exp:800 overflows the float range\n"
 
 
+@pytest.mark.parametrize("points", ["175,176,177,178,179", "139,140,141,142,143,144"])
+def test_exp_overflow_past_the_split_edge_names_the_function(points):
+    # one unit past the points where the centred split of exp:1 is still
+    # finite at n = 4 and 5 (tests/test_quad.py)
+    proc = run_cli("integral", "--x", points, "--function", "exp:1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: the cubature for exp:1 overflows the float range\n"
+
+
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -691,21 +700,30 @@ def test_worker_count_never_changes_bytes():
 
 @pytest.mark.parametrize("function", ["exp:1", "sin:1,0", "recip:10"])
 def test_worker_count_never_changes_bytes_across_slabs(monkeypatch, function):
-    # six points make n = 5, which order 20 cuts into 400 slabs, so the
-    # worker threads do start
+    # six points make n = 5, which order 20 cuts into 400 slabs in 20
+    # blocks, so the worker threads do start; five make n = 4, one block
     for name in ("VANDIFF_ORDER", "VANDIFF_TOLERANCE", "VANDIFF_SEED", "VANDIFF_BUDGET"):
         monkeypatch.delenv(name, raising=False)
-    outputs = []
-    for workers in ("1", "2", "3"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(
-                ["theorem1", "--x=-1.5,-0.7,0.1,0.8,1.6,2.4", "--function", function,
-                 "--workers", workers]
-            )
-        assert code == 0
-        outputs.append(out.getvalue())
-    assert outputs == [outputs[0]] * 3
+    n5, n4 = "--x=-1.5,-0.7,0.1,0.8,1.6,2.4", "--x=-1.5,-0.7,0.1,0.8,1.6"
+    single = {}
+    for points in (n5, n4):
+        outputs = []
+        for workers in ("1", "2", "3"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["theorem1", points, "--function", function, "--workers", workers])
+            assert code == 0
+            outputs.append(out.getvalue())
+        assert outputs == [outputs[0]] * 3
+        single[points] = outputs[0].encode()
+    # the cubature makes no BLAS call, so BLAS's thread count cannot move a byte
+    for threads in ("1", "2"):
+        proc = run_cli(
+            "theorem1", n5, "--function", function,
+            env_extra={"OPENBLAS_NUM_THREADS": threads}, binary=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == single[n5]
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from vandiff import divdiff
 from vandiff.divdiff import (
     build_table,
     divided_difference,
@@ -14,7 +15,8 @@ from vandiff.divdiff import (
     sum_form,
 )
 from vandiff.funcs import Exponential, Polynomial, Sine, parse_function
-from vandiff.points import PointSequence
+from vandiff.points import PointSequence, y_from_x
+from vandiff.symfun import vandermonde_product
 
 
 def monomial(k):
@@ -48,6 +50,37 @@ def test_difference_of_low_degree_vanishes():
 def test_product_side_small_case():
     x = PointSequence.exact([0, 1, 2])
     assert divided_difference_side(x, monomial(3)) == 12
+
+
+@pytest.mark.parametrize(
+    "x, f",
+    [
+        (PointSequence.floating([-1.5, -0.7, 0.1, 0.8, 1.6, 2.4]), Exponential(1.0)),
+        (PointSequence.floating([0.0, 0.3, 1.7, 2.2]), Sine(1.0, 0.4)),
+        (PointSequence.floating([0.0, 0.3, 1.7]), parse_function("recip:10")),
+        (PointSequence.exact([0, Fraction(1, 3), 2, 5]), monomial(4)),
+        (PointSequence.exact([0, Fraction(1, 3), 2]), Exponential(0.5)),
+        (PointSequence((0, 1, 3)), Exponential(1.0)),
+    ],
+    ids=["float-exp", "float-sin", "float-recip", "exact-poly", "exact-exp", "int-exp"],
+)
+def test_product_side_reuses_checked_points_with_the_same_bits(monkeypatch, x, f):
+    # the product side before x was reused: a new sequence of the table values
+    seq = PointSequence(divdiff._table_values(x, f))
+    want = vandermonde_product(seq.values) * divided_difference(y_from_x(seq), f)
+    built = []
+
+    def counted(values):
+        built.append(values)
+        return PointSequence(values)
+
+    monkeypatch.setattr(divdiff, "PointSequence", counted)
+    got = divided_difference_side(x, f)
+    assert type(got) is type(want)
+    assert got == want and (not isinstance(got, float) or got.hex() == want.hex())
+    # floating x, or exact x with a polynomial, is its own table values
+    reused = (not x.is_exact and isinstance(x[0], float)) or isinstance(f, Polynomial)
+    assert len(built) == (0 if reused else 1)
 
 
 def test_sum_form_two_points_is_difference_quotient():

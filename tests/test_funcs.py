@@ -183,11 +183,16 @@ def test_polynomial_scalar_overflow_is_named():
     assert Polynomial((0, 0, 1))(2.0**500) == 2.0**1000
 
 
-# -- the translate that cubature evaluates per slab -------------------------------
+# -- the separable split that cubature contracts -----------------------------------
 
 
 def _floats(bound):
     return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
+
+
+def _translate(f, total, shift, centre=0.0):
+    """The sum of f's split terms at one shift."""
+    return sum(phi(np.array([shift])) * grid for phi, grid in f.split(total, centre))
 
 
 @given(
@@ -200,12 +205,29 @@ def _floats(bound):
 def test_sine_translate_matches_the_shifted_sine(frequency, phase, amplitude, grid, shift):
     f = Sine(frequency, phase, amplitude)
     total = np.array(grid)
-    got = f.on_grid(total)(shift)
+    got = _translate(f, total, shift)
     want = f(shift + total)
     # both routes round the angle, so the bound grows with its size
     angle = abs(frequency) * (abs(shift) + np.abs(total)) + abs(phase)
     tol = 4 * np.spacing(abs(amplitude)) * np.maximum(1.0, angle)
     assert np.all(np.abs(got - want) <= tol)
+
+
+@given(
+    rate=_floats(8.0),
+    amplitude=_floats(1e3).filter(lambda a: abs(a) >= 1e-3),
+    grid=st.lists(_floats(10.0), min_size=1, max_size=12),
+    shift=_floats(10.0),
+    centre=_floats(10.0),
+)
+def test_exponential_split_matches_the_shifted_exponential(rate, amplitude, grid, shift, centre):
+    f = Exponential(rate, amplitude)
+    total = np.array(grid)
+    got = _translate(f, total, shift, centre)
+    want = f(shift + total)
+    # each route rounds its exponents, so the bound grows with their size
+    power = abs(rate) * (abs(shift) + np.abs(total) + 2 * abs(centre))
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)) * np.maximum(1.0, power))
 
 
 @pytest.mark.parametrize(
@@ -219,16 +241,25 @@ def test_sine_translate_matches_the_shifted_sine(frequency, phase, amplitude, gr
 )
 def test_default_translate_keeps_the_bits(f):
     total = np.linspace(-3.0, 4.0, 1001).reshape(7, 11, 13)
-    for shift in (-1.7, 0.0, 0.4, 2.6):
-        assert f.on_grid(total)(shift).tobytes() == f(shift + total).tobytes()
+    terms = f.split(total, 0.0)
+    if isinstance(f, Exponential):
+        # one term, whose grid is f on the grid itself and whose factor
+        # at the centre is exactly 1
+        ((phi, grid),) = terms
+        assert grid.tobytes() == f(total).tobytes()
+        assert phi(np.zeros(3)).tolist() == [1.0] * 3
+    else:
+        # no split: the cubature evaluates f(s + total) itself
+        assert terms == ()
 
 
 def test_sine_translate_rejects_a_non_finite_angle():
-    at = Sine(1e308, 0.5).on_grid(np.linspace(-1e-3, 1e-3, 5))
-    assert np.isfinite(at(1.0)).all()
-    for shift in (2.0, -2.0):
-        with pytest.raises(FloatingPointError, match=r"^sin:1e\+308,0.5 overflows"):
-            at(shift)
+    terms = Sine(1e308, 0.5).split(np.linspace(-1e-3, 1e-3, 5), 0.0)
+    for phi, _ in terms:
+        assert np.isfinite(phi(np.array([1.0, -1.0]))).all()
+        for shift in (2.0, -2.0):
+            with pytest.raises(FloatingPointError, match=r"^sin:1e\+308,0.5 overflows"):
+                phi(np.array([0.0, shift]))
 
 
 def test_poles_absent_for_entire_families():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,14 +28,24 @@ def rect(*vals):
     return PointSequence.floating(vals).intervals
 
 
+def plain(integrand):
+    """The two stages `integrate_over_rectangle` takes, for a plain
+    integrand of all n axes: the block function sums the weight grid
+    times the integrand over each slab of the block, called with the
+    slab's leading coordinates, then the trailing views."""
+
+    def first_stage(weights, *trailing):
+        def block(*lead):
+            slabs = zip(*lead) if lead else [()]
+            return [np.sum(weights * integrand(*slab, *trailing)) for slab in slabs]
+
+        return block
+
+    return first_stage
+
+
 def cubature(intervals, integrand, order, **kwargs):
-    """`integrate_over_rectangle` for a plain integrand of all n axes: its
-    slab function passes the leading axes, then the trailing views."""
-
-    def first_stage(*trailing):
-        return lambda *lead: integrand(*lead, *trailing)
-
-    return integrate_over_rectangle(intervals, first_stage, order, **kwargs)
+    return integrate_over_rectangle(intervals, plain(integrand), order, **kwargs)
 
 
 # -- one-dimensional rules ----------------------------------------------------------
@@ -180,9 +191,9 @@ def test_overflow_raises_floating_point_error(box):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_overflow_in_a_slab_raises_in_every_thread(workers):
-    # order 20 in 4-D: 20 slabs, so two workers sum them in threads
+    # order 20 in 5-D: 20 blocks of 20 slabs, so two workers sum them in threads
     with pytest.raises(FloatingPointError):
-        cubature(rect(0, 1, 2, 3, 4), lambda *t: t[-1] * 1e308, 20, workers=workers)
+        cubature(rect(0, 1, 2, 3, 4, 5), lambda *t: t[-1] * 1e308, 20, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -211,12 +222,14 @@ def test_pool_is_no_larger_than_the_slab_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(quad, "ThreadPoolExecutor", PoolSpy)
-    # order 20 in 4-D: 20^3 nodes in a slab, 20 slabs; in 2-D one slab
-    box4 = rect(0, 1, 2, 3, 4)
-    single = cubature(box4, lambda *t: t[0] * t[3], 20)
+    # order 20 in 5-D: 20^3 nodes in a slab, 400 slabs in 20 blocks; in
+    # 4-D one block, in 2-D one slab
+    box5 = rect(0, 1, 2, 3, 4, 5)
+    single = cubature(box5, lambda *t: t[0] * t[4], 20)
     for workers in (3, 10**9):
-        got = cubature(box4, lambda *t: t[0] * t[3], 20, workers=workers)
+        got = cubature(box5, lambda *t: t[0] * t[4], 20, workers=workers)
         assert got.value == single.value
+    cubature(rect(0, 1, 2, 3, 4), lambda *t: t[0], 20, workers=4)
     cubature(rect(0, 1, 2), lambda *t: t[0], 20, workers=4)
     assert sizes == [3, 20]
 
@@ -238,8 +251,10 @@ def reference_cubature(intervals, integrand, order):
 
 
 # (n, order, slab size bound, k leading axes): the integrand's first stage
-# is called once and its slab function order**k times; a small bound
-# reaches k = 2 on a grid the reference can walk
+# is called once and its block function once per block, order**(k-1)
+# times with k leading axes of `order` coordinates each, and once with
+# none when k = 0; a small bound reaches k = 2 on a grid the reference
+# can walk
 SLAB_CASES = [
     (1, 9, quad._CHUNK, 0),
     (2, 20, quad._CHUNK, 0),
@@ -267,17 +282,20 @@ def test_slabs_match_the_plain_tensor_rule(monkeypatch, n, order, chunk, k, name
     integrand = INTEGRANDS[name]
     calls = []
 
-    def counted(*trailing):
-        calls.append(("first", len(trailing)))
+    def counted(weights, *trailing):
+        calls.append(("first", weights.shape, len(trailing)))
+        block = plain(integrand)(weights, *trailing)
 
-        def slab(*lead):
-            calls.append(("slab", len(lead) + len(trailing)))
-            return integrand(*lead, *trailing)
+        def counted_block(*lead):
+            calls.append(("block", [np.shape(t) for t in lead]))
+            return block(*lead)
 
-        return slab
+        return counted_block
 
     got = integrate_over_rectangle(box, counted, order)
-    assert calls == [("first", n - k)] + [("slab", n)] * order**k
+    blocks = order ** (k - 1) if k else 1
+    first = ("first", (order,) * (n - k), n - k)
+    assert calls == [first] + [("block", [(order,)] * k)] * blocks
     want = reference_cubature(box, integrand, order)
     assert got.value == pytest.approx(want, rel=1e-14)
     assert got.function_evaluations == order**n
@@ -347,8 +365,9 @@ def test_integral_side_matches_the_per_node_integrand(monkeypatch, n, order, chu
     monkeypatch.setattr(quad, "vandermonde_product", spy)
     x = PointSequence.floating([-0.8 + 0.35 * i + 0.05 * i * i for i in range(n + 1)])
     got = integral_side(x, f, order)
-    # the first stage forms the trailing axes' product once per call
-    assert trailing_products.count(True) == 1
+    # the first stage forms the trailing axes' product once per call, and
+    # each block the product of its leading axes
+    assert trailing_products.count(True) == 1 + (order ** (k - 1) if k else 0)
     fn = f.derivative(n)
 
     def per_node(*t):
@@ -359,17 +378,32 @@ def test_integral_side_matches_the_per_node_integrand(monkeypatch, n, order, chu
     assert got.value == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("f", SIDE_FUNCTIONS[:4], ids=lambda f: f.describe())
+def test_integral_side_holds_less_than_order_slabs(f):
+    # order 20 at n = 5: 20^3 nodes in a slab, 20 slabs in a block; every
+    # array the call makes at once fits in the bytes of one block's nodes
+    x = floating_suite_points(5)[0]
+    integral_side(x, f, 20)  # numpy and the rule are loaded before tracing
+    tracemalloc.start()
+    try:
+        integral_side(x, f, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 20**3 * 8
+
+
 @pytest.mark.parametrize("n, translates", [(3, 0), (4, 1), (5, 1)])
 def test_sine_translate_is_built_once_per_call(monkeypatch, n, translates):
     # order 20 gives n = 3 no leading axis, n = 5 400 slabs
     built = []
-    on_grid = Sine.on_grid
+    split = Sine.split
 
-    def spy(self, total):
+    def spy(self, total, centre):
         built.append(total.shape)
-        return on_grid(self, total)
+        return split(self, total, centre)
 
-    monkeypatch.setattr(Sine, "on_grid", spy)
+    monkeypatch.setattr(Sine, "split", spy)
     x = floating_suite_points(n)[0]
     got = integral_side(x, Sine(1.0, 0.0), 20, workers=2)
     assert built == [(20, 20, 20)] * translates
@@ -377,8 +411,8 @@ def test_sine_translate_is_built_once_per_call(monkeypatch, n, translates):
 
 
 # integral_side values at the first criterion-2 point sequence for each n,
-# as float.hex; sin at n >= 4 takes its translate by angle addition and is
-# held to the reference in the next test instead
+# as float.hex; from n = 4 the grid has a leading axis, and the values are
+# those of the contraction
 SIDE_PINS = {
     (1, "exp"): "0x1.3b8ce3e4a64e2p-4",
     (1, "sin"): "0x1.d22a26429b1f5p-4",
@@ -396,11 +430,15 @@ SIDE_PINS = {
     (3, "poly"): "0x1.e1925692c350cp+12",
     (3, "sinw"): "0x1.29daf298796f6p+5",
     (4, "exp"): "0x1.14509373f6a6dp+6",
+    (4, "sin"): "0x1.11c37e6549234p+1",
     (4, "recip"): "-0x1.599f58e418423p-8",
     (4, "poly"): "0x1.0deff7aebf17fp+17",
-    (5, "exp"): "0x1.6a71006f48954p+10",
+    (4, "sinw"): "0x1.fb776b626688ap+5",
+    (5, "exp"): "0x1.6a71006f48952p+10",
+    (5, "sin"): "-0x1.90621f2730657p+1",
     (5, "recip"): "-0x1.34f579bfc1678p-4",
     (5, "poly"): "0x1.58d9e562c584ap+20",
+    (5, "sinw"): "0x1.f4bac234a11c0p+4",
 }
 
 PIN_FUNCTIONS = {
@@ -418,22 +456,54 @@ def test_integral_side_bits_are_pinned(n, family):
     assert got.value.hex() == SIDE_PINS[n, family]
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_sine_cubature_matches_a_50_digit_reference(n):
-    mpmath = pytest.importorskip("mpmath")
-    worst = 0.0
+def _mp_value(mpmath, f, y):
+    """f at the mpf y, evaluated in mpmath arithmetic."""
+    if isinstance(f, Exponential):
+        return f.amplitude * mpmath.exp(f.rate * y)
+    if isinstance(f, Sine):
+        return f.amplitude * mpmath.sin(f.frequency * y + f.phase)
+    if isinstance(f, Reciprocal):
+        return f.scale / (y - f.shift) ** f.power
+    terms = (mpmath.mpf(c.numerator) / c.denominator * y**i for i, c in enumerate(f.coeffs))
+    return mpmath.fsum(terms)
+
+
+def _mp_product_side(mpmath, x, f):
+    """V(x) * f[y] at 50 digits, by the reciprocal-product sum."""
     with mpmath.workdps(50):
-        for x in floating_suite_points(n):
-            xs = [mpmath.mpf(v) for v in x.as_floats()]
-            ys = [mpmath.fsum(xs) - v for v in reversed(xs)]
-            ref = mpmath.mpf(0)
-            for i, yi in enumerate(ys):
-                others = ys[:i] + ys[i + 1 :]
-                ref += mpmath.sin(yi) / mpmath.fprod(yi - yj for yj in others)
-            ref *= mpmath.fprod(xj - xi for xi, xj in itertools.combinations(xs, 2))
-            got = integral_side(x, Sine(1.0, 0.0), 20).value
-            worst = max(worst, float(abs((got - ref) / ref)))
+        xs = [mpmath.mpf(v) for v in x.as_floats()]
+        ys = [mpmath.fsum(xs) - v for v in reversed(xs)]
+        ref = mpmath.mpf(0)
+        for i, yi in enumerate(ys):
+            others = ys[:i] + ys[i + 1 :]
+            ref += _mp_value(mpmath, f, yi) / mpmath.fprod(yi - yj for yj in others)
+        return ref * mpmath.fprod(xj - xi for xi, xj in itertools.combinations(xs, 2))
+
+
+@pytest.mark.parametrize("family", ["exp", "sin", "recip", "poly"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_cubature_matches_a_50_digit_reference(n, family):
+    mpmath = pytest.importorskip("mpmath")
+    f = PIN_FUNCTIONS[family]
+    worst = 0.0
+    for x in floating_suite_points(n):
+        ref = _mp_product_side(mpmath, x, f)
+        got = integral_side(x, f, 20).value
+        worst = max(worst, float(abs((got - ref) / ref)))
     assert worst <= 1e-14
+
+
+# exp:1 on n + 1 unit-spaced points from `start`: the integral is within
+# a factor of 1e4 of the float maximum, and one unit further on the
+# cubature overflows (tests/test_cli.py)
+@pytest.mark.parametrize("n, start", [(4, 174.0), (5, 137.0)])
+def test_centred_split_is_finite_near_the_float_maximum(n, start):
+    mpmath = pytest.importorskip("mpmath")
+    x = PointSequence.floating([start + i for i in range(n + 1)])
+    got = integral_side(x, Exponential(1.0), 20).value
+    ref = _mp_product_side(mpmath, x, Exponential(1.0))
+    assert ref > 1e304
+    assert float(abs((got - ref) / ref)) <= 1e-14
 
 
 def test_pole_inside_sum_range_rejected():
