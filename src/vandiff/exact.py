@@ -1,27 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a finite map from monomials to nonzero Fraction
-coefficients.  A monomial is a tuple of (variable, exponent) pairs with
-positive exponents, sorted by variable, so that every polynomial has
-exactly one stored representation:
+A polynomial is stored as integer numerators over one shared positive
+denominator.  Each monomial is one Python int holding a fixed-width
+exponent field per variable: a variable's field sits at a bit offset it
+is given on first use, so multiplying two monomials is integer addition
+and a derivative or substitution reads or shifts a single field.  With
+t1, t2 and x1 at offsets 0, 8 and 16,
 
-    2*t1*t2 - x1^2   ->   {((t1,1),(t2,1)): 2, ((x1,2),): -1}
+    2*t1*t2 - x1^2/3   ->   {0x000101: 6, 0x020000: -1} over 3
 
-The zero polynomial is the empty map.  Coefficients are always exact
-rationals (fractions.Fraction); floats are rejected so that identity
-checks can demand the literal zero polynomial rather than a small
-residual.
+Every stored polynomial is canonical: no numerator is 0, and the
+numerators and the denominator share no common factor (one math.gcd
+keeps it so), with the zero polynomial the empty map over 1.  Equal
+polynomials are therefore stored identically, so `==` and `is_zero` are
+exact proofs that an identity holds.  Coefficients are always exact
+rationals; floats are rejected so that identity checks can demand the
+literal zero polynomial rather than a small residual.  An exponent that
+would not fit its field raises ValueError, never carrying into the next
+variable's field.
 
-Terms enter only through zero/one/const/variable and the ring and
-calculus operations.  One accumulator, `_collect`, merges equal monomials
-and drops every term that cancels to 0; that invariant is what makes
-`is_zero` a proof that an identity holds.
-
-The hot loops run on integers.  `eval` puts the point and the
-coefficients over one denominator each, sums integer numerators per total
-degree in one pass over the terms, and builds one Fraction at the end;
-`diff(v, k)` is one pass that multiplies each coefficient by the falling
-factorial e(e-1)...(e-k+1) and lowers v's exponent in place.
+`terms()` is the decoded view: monomials as tuples of (variable,
+exponent) pairs with positive exponents, sorted by variable, mapped to
+Fraction coefficients.  The offsets follow the order in which variables
+are first used, which no output depends on.
 
 Variables are (family, index) pairs ordered family-first, so the
 t-family sorts before the x-family and rendered output is deterministic:
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 CoeffLike = Union[int, Fraction]
 
@@ -54,9 +55,29 @@ def var_family(family: str, count: int) -> list[VarId]:
     return [VarId(family, i) for i in range(1, count + 1)]
 
 
-# Monomial: ((var, exp), ...) sorted by var, all exps > 0; () is the unit.
+# Decoded monomial: ((var, exp), ...) sorted by var, all exps > 0; () is the unit.
 Monomial = tuple[tuple[VarId, int], ...]
 Terms = dict[Monomial, Fraction]
+
+# bits per exponent field, and the largest exponent a field holds; one
+# byte per field lets eval read a term's exponents as the bytes of its key
+_WIDTH = 8
+_MASK = (1 << _WIDTH) - 1
+
+# variable -> bit offset of its exponent field, given on first use; slot i
+# of _SLOTS holds the variable at offset i * _WIDTH
+_OFFSETS: dict[VarId, int] = {}
+_SLOTS: list[VarId] = []
+
+
+def _offset(v: VarId) -> int:
+    """The bit offset of v's exponent field, registering v on first use."""
+    off = _OFFSETS.get(v)
+    if off is None:
+        # list.append is atomic, so concurrent first uses never share a slot
+        _SLOTS.append(v)
+        off = _OFFSETS.setdefault(v, _SLOTS.index(v) * _WIDTH)
+    return off
 
 
 class MissingVariableError(ValueError):
@@ -83,61 +104,37 @@ def _over_one_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
     return [q.numerator * (d // q.denominator) for q in values], d
 
 
-def _collect(pairs: Iterable[tuple[Monomial, Fraction]], into: Terms | None = None) -> Terms:
-    """Sum the coefficients of equal monomials into `into` (a new dict by
-    default), dropping every monomial whose sum is 0; returns the dict."""
-    out = {} if into is None else into
-    for mono, c in pairs:
-        if mono in out:
-            c = out[mono] + c
-            if not c:
-                del out[mono]
-                continue
-        if c:
-            out[mono] = c
-    return out
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: list[tuple[VarId, int]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
-def _split(mono: Monomial, v: VarId) -> tuple[int, Monomial]:
-    """v's exponent in mono (0 if absent), and mono without v."""
-    for i, (w, e) in enumerate(mono):
-        if w == v:
-            return e, mono[:i] + mono[i + 1 :]
-    return 0, mono
+def _checked_bound(quick: int, base: int, products: Iterable[tuple[int, MultiPoly]]) -> int:
+    """An upper bound on the exponents of every monomial m * q, for the
+    (packed monomial m, polynomial q) pairs in `products`: `quick`, an
+    upper bound, when it fits a field.  Otherwise the pairs are checked
+    one by one, and `base` bounds the fields of m that q lacks; a sum that
+    would not fit its field raises ValueError naming the variable.
+    """
+    if quick <= _MASK:
+        return quick
+    bound = base
+    for m, q in products:
+        for v, off, top in q._layout():
+            e = ((m >> off) & _MASK) + top
+            if e > _MASK:
+                raise ValueError(f"the exponent of {v.name} would exceed {_MASK}")
+            bound = max(bound, e)
+    return bound
 
 
 class MultiPoly:
-    """Immutable sparse multivariate polynomial with Fraction coefficients."""
+    """Immutable sparse multivariate polynomial with rational coefficients."""
 
-    __slots__ = ("_terms",)
+    # _terms: packed monomial -> nonzero integer numerator; _den: the shared
+    # denominator; _bound: no exponent exceeds it; _plan: see _layout
+    __slots__ = ("_terms", "_den", "_bound", "_plan")
 
     def __init__(self) -> None:
-        self._terms: Terms = {}
+        self._terms: dict[int, int] = {}
+        self._den = 1
+        self._bound = 0
+        self._plan: tuple[tuple[VarId, int, int], ...] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -152,51 +149,95 @@ class MultiPoly:
     @classmethod
     def const(cls, value: CoeffLike) -> MultiPoly:
         c = _coeff(value)
-        return cls._raw({(): c} if c else {})
+        return cls._raw({0: c.numerator} if c else {}, c.denominator, 0)
 
     @classmethod
     def variable(cls, v: VarId) -> MultiPoly:
-        return cls._raw({((v, 1),): Fraction(1)})
+        return cls._raw({1 << _offset(v): 1}, 1, 1)
 
     @classmethod
-    def _raw(cls, terms: Terms) -> MultiPoly:
-        # the one way stored terms enter: canonical, no zero coefficient
+    def _raw(cls, terms: dict[int, int], den: int, bound: int) -> MultiPoly:
+        # the one way stored terms enter: drops zero numerators and divides
+        # out the common factor of the numerators and the denominator
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
         p = cls.__new__(cls)
         p._terms = terms
+        p._den = den
+        p._bound = bound if terms else 0
+        p._plan = None
         return p
 
     # -- inspection --------------------------------------------------------
+
+    def _layout(self) -> tuple[tuple[VarId, int, int], ...]:
+        """(variable, bit offset, largest exponent) for each variable in
+        use, in variable order; worked out once per polynomial."""
+        if self._plan is None:
+            terms = self._terms
+            support = 0
+            for m in terms:
+                support |= m
+            plan = []
+            slot = 0
+            while support:
+                if support & _MASK:
+                    off = slot * _WIDTH
+                    top = max((m >> off) & _MASK for m in terms)
+                    plan.append((_SLOTS[slot], off, top))
+                support >>= _WIDTH
+                slot += 1
+            plan.sort()
+            self._plan = tuple(plan)
+        return self._plan
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def terms(self) -> Terms:
-        return dict(self._terms)
+        """The decoded view: sorted (variable, exponent) tuples -> Fraction."""
+        plan = self._layout()
+        den = self._den
+        return {
+            tuple((v, e) for v, off, _ in plan if (e := (m >> off) & _MASK)): Fraction(c, den)
+            for m, c in self._terms.items()
+        }
 
     def variables(self) -> tuple[VarId, ...]:
-        seen = {v for mono in self._terms for v, _ in mono}
-        return tuple(sorted(seen))
-
-    def total_degree(self) -> int:
-        """Maximum total degree over all terms; 0 for the zero polynomial."""
-        return max((sum(e for _, e in mono) for mono in self._terms), default=0)
+        return tuple(v for v, _, _ in self._layout())
 
     def degree_in(self, v: VarId) -> int:
-        return max((_split(mono, v)[0] for mono in self._terms), default=0)
+        off = _OFFSETS.get(v)
+        if off is None:
+            return 0
+        return max(((m >> off) & _MASK for m in self._terms), default=0)
+
+    def _integer_terms(self, variables: Sequence[VarId]) -> tuple[list[list[int]], Iterable[int], int]:
+        """Each term's exponents of `variables` (in that order; other
+        variables are not read), each term's numerator, and the shared
+        denominator."""
+        offsets = [_offset(v) for v in variables]
+        exponents = [[(m >> off) & _MASK for off in offsets] for m in self._terms]
+        return exponents, self._terms.values(), self._den
 
     def as_constant(self) -> Fraction:
         """The value of a constant polynomial; error if variables remain."""
         if not self._terms:
             return Fraction(0)
-        if len(self._terms) == 1 and () in self._terms:
-            return self._terms[()]
+        if len(self._terms) == 1 and 0 in self._terms:
+            return Fraction(self._terms[0], self._den)
         names = ", ".join(v.name for v in self.variables())
         raise ValueError(f"polynomial is not constant; contains: {names}")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == MultiPoly.const(other)
         return NotImplemented
@@ -215,12 +256,21 @@ class MultiPoly:
 
     def __add__(self, other) -> MultiPoly:
         other = self._as_poly(other)
-        return MultiPoly._raw(_collect(other._terms.items(), dict(self._terms)))
+        # copy the larger map, add the smaller one into it
+        a, b = (self, other) if len(self._terms) >= len(other._terms) else (other, self)
+        den = math.lcm(a._den, b._den)
+        scale = den // a._den
+        out = dict(a._terms) if scale == 1 else {m: c * scale for m, c in a._terms.items()}
+        get = out.get
+        scale = den // b._den
+        for m, c in b._terms.items():
+            out[m] = get(m, 0) + c * scale
+        return MultiPoly._raw(out, den, max(a._bound, b._bound))
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly._raw({m: -c for m, c in self._terms.items()})
+        return MultiPoly._raw({m: -c for m, c in self._terms.items()}, self._den, self._bound)
 
     def __sub__(self, other) -> MultiPoly:
         return self + (-self._as_poly(other))
@@ -230,13 +280,24 @@ class MultiPoly:
 
     def __mul__(self, other) -> MultiPoly:
         other = self._as_poly(other)
-        return MultiPoly._raw(
-            _collect(
-                (_mono_mul(ma, mb), ca * cb)
-                for ma, ca in self._terms.items()
-                for mb, cb in other._terms.items()
-            )
+        bound = _checked_bound(
+            self._bound + other._bound, self._bound, ((m, other) for m in self._terms)
         )
+        # the outer loop runs over the smaller map
+        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        if len(a._terms) == 1:
+            # a single term shifts b's monomials, which stay distinct
+            [(ma, ca)] = a._terms.items()
+            out = {m + ma: c * ca for m, c in b._terms.items()}
+        else:
+            out = {}
+            get = out.get
+            right = b._terms.items()
+            for ma, ca in a._terms.items():
+                for mb, cb in right:
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+        return MultiPoly._raw(out, a._den * b._den, bound)
 
     __rmul__ = __mul__
 
@@ -261,23 +322,34 @@ class MultiPoly:
             raise ValueError("derivative order must be non-negative")
         if not order:
             return self
-        out: Terms = {}
-        for mono, c in self._terms.items():
-            for i, (w, e) in enumerate(mono):
-                if w == v:
-                    if e >= order:
-                        kept = ((v, e - order),) if e > order else ()
-                        out[mono[:i] + kept + mono[i + 1 :]] = c * math.perm(e, order)
-                    break
-        return MultiPoly._raw(out)
+        off = _OFFSETS.get(v)
+        if off is None:
+            return MultiPoly()
+        lower = order << off
+        out = {}
+        for m, c in self._terms.items():
+            e = (m >> off) & _MASK
+            if e >= order:
+                out[m - lower] = c * math.perm(e, order)
+        return MultiPoly._raw(out, self._den, self._bound)
 
     def antiderivative(self, v: VarId) -> MultiPoly:
         """Antiderivative in v with zero constant of integration."""
-        out: Terms = {}
-        for mono, c in self._terms.items():
-            e, rest = _split(mono, v)
-            out[_mono_mul(rest, ((v, e + 1),))] = c / (e + 1)
-        return MultiPoly._raw(out)
+        if not self._terms:
+            return self
+        off = _offset(v)
+        exps = {(m >> off) & _MASK for m in self._terms}
+        top = max(exps)
+        if top == _MASK:
+            raise ValueError(f"the exponent of {v.name} would exceed {_MASK}")
+        # c / (e + 1) == c * (scale / (e + 1)) / scale, in integers
+        scale = math.lcm(*(e + 1 for e in exps))
+        step = 1 << off
+        out = {
+            m + step: c * (scale // (((m >> off) & _MASK) + 1))
+            for m, c in self._terms.items()
+        }
+        return MultiPoly._raw(out, self._den * scale, max(self._bound, top + 1))
 
     def integrate(self, v: VarId, lower, upper) -> MultiPoly:
         """Definite integral in v between two bounds not involving v.
@@ -296,7 +368,12 @@ class MultiPoly:
     # -- substitution / evaluation -------------------------------------------
 
     def substitute(self, v: VarId, replacement) -> MultiPoly:
-        """Exact substitution of a polynomial (or constant) for v."""
+        """Exact substitution of a polynomial (or constant) for v.
+
+        Each term with v^e, v's field cleared, is multiplied by the e-th
+        power of the replacement; the powers are put over one denominator
+        first, so the pass is integer multiply-add.
+        """
         replacement = self._as_poly(replacement)
         max_e = self.degree_in(v)
         if max_e == 0:
@@ -304,51 +381,51 @@ class MultiPoly:
         powers = [MultiPoly.one()]
         for _ in range(max_e):
             powers.append(powers[-1] * replacement)
-        return MultiPoly._raw(
-            _collect(
-                (_mono_mul(rest, pm), c * pc)
-                for mono, c in self._terms.items()
-                for e, rest in (_split(mono, v),)
-                for pm, pc in powers[e]._terms.items()
-            )
+        off = _OFFSETS[v]
+        clear = ~(_MASK << off)  # keeps every field but v's
+        bound = _checked_bound(
+            self._bound + powers[-1]._bound,
+            self._bound,
+            ((m & clear, powers[(m >> off) & _MASK]) for m in self._terms),
         )
+        den = math.lcm(*(p._den for p in powers))
+        scaled = [[(m, c * (den // p._den)) for m, c in p._terms.items()] for p in powers]
+        out = {}
+        get = out.get
+        for m, c in self._terms.items():
+            rest = m & clear
+            for pm, pc in scaled[(m >> off) & _MASK]:
+                k = rest + pm
+                out[k] = get(k, 0) + c * pc
+        return MultiPoly._raw(out, self._den * den, bound)
 
     def eval(self, assignment: Mapping[VarId, CoeffLike]) -> Fraction:
         """Exact value at a rational point covering every variable.
 
-        One integer pass: the used variables' values are numerators over
-        one denominator d, and the coefficients over another.  Each term
-        adds its integer numerator to the sum S_deg of its total degree;
-        the value is sum_deg S_deg * d^(top - deg) over c_den * d^top.
+        One integer pass: the used variables' values are numerators k over
+        one denominator d, and a variable with largest exponent `top`
+        contributes k^e * d^(top - e) for exponent e, so every term is over
+        the same d^(sum of tops).  A term's exponents are the bytes of its
+        packed monomial.
         """
         values = {v: _coeff(c) for v, c in assignment.items()}
-        top: dict[VarId, int] = {}  # used variable -> its largest exponent
-        for mono in self._terms:
-            for v, e in mono:
-                if e > top.get(v, 0):
-                    top[v] = e
-        missing = [v for v in top if v not in values]
+        plan = self._layout()
+        missing = [v for v, _, _ in plan if v not in values]
         if missing:
             raise MissingVariableError(missing)
-        nums, d = _over_one_denominator(values[v] for v in top)
-        powers = {}  # v -> [1, k, k^2, ..] with values[v] == k / d
-        for (v, e), k in zip(top.items(), nums):
-            row = [1]
-            for _ in range(e):
-                row.append(row[-1] * k)
-            powers[v] = row
-        coeffs, c_den = _over_one_denominator(self._terms.values())
-        sums = [0] * (sum(top.values()) + 1)
-        for mono, c in zip(self._terms, coeffs):
-            deg = 0
-            for v, e in mono:
-                c *= powers[v][e]
-                deg += e
-            sums[deg] += c
+        nums, d = _over_one_denominator(values[v] for v, _, _ in plan)
+        rows = [
+            (off // _WIDTH, [k**e * d ** (top - e) for e in range(top + 1)])
+            for (_, off, top), k in zip(plan, nums)
+        ]
+        size = max((byte + 1 for byte, _ in rows), default=0)
         total = 0
-        for s in sums:  # Horner in d, lowest degree first
-            total = total * d + s
-        return Fraction(total, c_den * d ** (len(sums) - 1))
+        for m, c in self._terms.items():
+            fields = m.to_bytes(size, "little")
+            for byte, row in rows:
+                c *= row[fields[byte]]
+            total += c
+        return Fraction(total, self._den * d ** sum(top for _, _, top in plan))
 
     # -- rendering -------------------------------------------------------------
 
@@ -356,35 +433,43 @@ class MultiPoly:
         """Deterministic text form: graded-lex term order, p/q coefficients."""
         if not self._terms:
             return "0"
-        universe = self.variables()
-        pos = {v: i for i, v in enumerate(universe)}
+        plan = self._layout()
+        slots = [off // _WIDTH for _, off, _ in plan]
+        # texts[j][e] is variable j to the power e, as a factor
+        texts = [
+            ["", v.name] + [f"{v.name}^{e}" for e in range(2, top + 1)] for v, _, top in plan
+        ]
+        # with the variables' fields in variable order, unused fields (all 0)
+        # included, a monomial's bytes are already its exponent vector
+        in_order = slots == sorted(slots)
+        size = max(slots, default=-1) + 1
 
-        def expvec(mono: Monomial) -> tuple[int, ...]:
-            vec = [0] * len(universe)
-            for v, e in mono:
-                vec[pos[v]] = e
-            return tuple(vec)
+        def graded_lex(m: int) -> int:
+            # total degree above the exponents, the first variable's highest
+            fields = m.to_bytes(size, "little")
+            if not in_order:
+                fields = bytes([fields[i] for i in slots])
+            return (sum(fields) << (8 * len(fields))) | int.from_bytes(fields, "big")
 
-        ordered = sorted(
-            self._terms.items(),
-            key=lambda item: (sum(e for _, e in item[0]), expvec(item[0])),
-            reverse=True,
-        )
+        den = self._den
         pieces: list[str] = []
-        for i, (mono, c) in enumerate(ordered):
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            factors = [v.name if e == 1 else f"{v.name}^{e}" for v, e in mono]
+        for m in sorted(self._terms, key=graded_lex, reverse=True):
+            c = self._terms[m]
+            fields = m.to_bytes(size, "little")
+            factors = [text[fields[i]] for i, text in zip(slots, texts) if fields[i]]
+            g = math.gcd(c, den)
+            num, q = abs(c) // g, den // g
+            mag = str(num) if q == 1 else f"{num}/{q}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif num == 1 and q == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([str(mag)] + factors)
-            if i == 0:
-                pieces.append(body if sign == "+" else f"-{body}")
+                body = mag + "*" + "*".join(factors)
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
             else:
-                pieces.append(f" {sign} {body}")
+                pieces.append(f" {'-' if c < 0 else '+'} {body}")
         return "".join(pieces)
 
     def __repr__(self) -> str:

@@ -146,10 +146,11 @@ def _box_integral(p: MultiPoly, tvars: Sequence[VarId], bounds, g=(1,)) -> Fract
         A_i(e; z) = sum_{j<=K} m_i(e + j) z^j / j!,
         m_i(e) = (b_i^(e+1) - a_i^(e+1)) / (e + 1),
 
-    so one pass over the terms of p multiplies truncated series.  Each
-    axis table, and the coefficients of p and g, are scaled to integers
-    over one denominator each: the pass is integer multiply-add, and one
-    Fraction is built at the end.
+    so one pass over the terms of p multiplies truncated series.  p's
+    integer numerators are used as stored, and each axis table and the
+    coefficients of g are scaled to integers over one denominator each:
+    the pass is integer multiply-add, and one Fraction is built at the
+    end.
     """
     g = [_coeff(c) for c in g]
     if not g or p.is_zero:
@@ -157,17 +158,10 @@ def _box_integral(p: MultiPoly, tvars: Sequence[VarId], bounds, g=(1,)) -> Fract
     if not bounds:
         raise ValueError("box needs at least one axis")
     top = len(g)  # K + 1 series coefficients
-    terms = p.terms()
-    axis = {v: i for i, v in enumerate(tvars)}
-    exponents = []
-    for mono in terms:
-        exps = [0] * len(tvars)
-        for v, e in mono:
-            if v not in axis:
-                raise ValueError(f"{v.name} is not an integration variable")
-            exps[axis[v]] = e
-        exponents.append(exps)
-    coeffs, denominator = _over_one_denominator(terms.values())
+    for v in p.variables():
+        if v not in tvars:
+            raise ValueError(f"{v.name} is not an integration variable")
+    exponents, coeffs, denominator = p._integer_terms(tvars)
     weights, den = _over_one_denominator(
         [c * math.factorial(k) for k, c in enumerate(g)]
     )

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence, Union
 
-from .exact import MultiPoly, VarId, _collect, var_family
+from .exact import _MASK, MultiPoly, VarId, _offset, var_family
 
 SYMBOLIC_LIMIT = 7
 
@@ -81,14 +81,12 @@ def vandermonde_poly(n: int, family: str = "t") -> MultiPoly:
 def _expand_vandermonde(n: int, family: str) -> MultiPoly:
     # Leibniz formula for V = det[t_i^(j-1)]: each permutation p gives its
     # own monomial prod_i t_i^p(i), signed by the parity of its inversions
-    powers = [[(v, e) for e in range(n)] for v in var_family(family, n)]
-    signs = (Fraction(1), Fraction(-1))
+    offsets = [_offset(v) for v in var_family(family, n)]
     terms = {}
     for perm in permutations(range(n)):
         inversions = sum(a > b for a, b in combinations(perm, 2))
-        mono = tuple(row[e] for row, e in zip(powers, perm) if e)
-        terms[mono] = signs[inversions & 1]
-    return MultiPoly._raw(terms)
+        terms[sum(e << off for off, e in zip(offsets, perm))] = -1 if inversions & 1 else 1
+    return MultiPoly._raw(terms, 1, n - 1)
 
 
 def vandermonde_product(values: Sequence) -> Union[Fraction, float]:
@@ -144,21 +142,25 @@ def apply_operator(op: OperatorKind, p: MultiPoly, variables: Sequence[VarId]) -
         for v in variables:
             result = result + p.diff(v, op.k)
         return result
-    return MultiPoly._raw(_collect(_mixed_partials(op.k, p, wanted)))
+    return _mixed_partials(op.k, p, wanted)
 
 
-def _mixed_partials(k: int, p: MultiPoly, wanted: set[VarId]):
-    """(monomial, coefficient) of d^k/dt_S p for every term and k-subset S."""
-    for mono, c in p.terms().items():
-        hits = [i for i, (v, _) in enumerate(mono) if v in wanted]
+def _mixed_partials(k: int, p: MultiPoly, wanted: set[VarId]) -> MultiPoly:
+    """The sum of d^k/dt_S p over every k-subset S of `wanted`: each term
+    of p gives, per k-subset of its wanted variables, its numerator times
+    their exponents, with each of their fields lowered by one."""
+    fields = [(off, 1 << off) for off in map(_offset, wanted)]
+    out = {}
+    get = out.get
+    for m, c in p._terms.items():
+        hits = [(step, e) for off, step in fields if (e := (m >> off) & _MASK)]
         for chosen in combinations(hits, k):
-            lowered = list(mono)
-            factor = 1
-            for i in chosen:
-                v, e = mono[i]
+            lowered, factor = m, c
+            for step, e in chosen:
+                lowered -= step
                 factor *= e
-                lowered[i] = (v, e - 1)
-            yield tuple(pair for pair in lowered if pair[1]), c * factor
+            out[lowered] = get(lowered, 0) + factor
+    return MultiPoly._raw(out, p._den, p._bound)
 
 
 def enumerate_vertices(bounds: Sequence[tuple]) -> list[tuple[tuple[int, ...], tuple]]:

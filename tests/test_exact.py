@@ -1,11 +1,18 @@
 """Exact rational polynomial core: ring behavior, calculus, rendering."""
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from vandiff import symfun
 from vandiff.exact import (
+    _MASK,
     MissingVariableError,
     MultiPoly,
     VarId,
@@ -209,8 +216,11 @@ def test_eval_commutes_with_polynomial_substitution(p, q, vals):
 
 
 def assert_canonical(p):
-    # the stored form the is_zero proofs rely on: no zero coefficient, and
-    # every monomial sorted by variable with positive exponents
+    # the stored form the is_zero proofs rely on: no zero numerator, and
+    # numerators and denominator without a common factor
+    assert 0 not in p._terms.values() and p._den >= 1
+    assert math.gcd(p._den, *p._terms.values()) == 1
+    # the decoded view: every monomial sorted by variable with positive exponents
     for mono, c in p.terms().items():
         assert isinstance(c, Fraction) and c != 0
         assert all(e > 0 for _, e in mono)
@@ -344,3 +354,252 @@ def test_render_fraction_coefficients():
 def test_render_orders_t_family_before_x_family():
     p = tp(X1) + tp(T1)
     assert p.render() == "t1 + x1"
+
+
+def test_rendering_holds_less_than_the_tuple_monomials_did():
+    p = symfun._expand_vandermonde(7, "x")  # 5,040 terms
+    tracemalloc.start()
+    try:
+        p.render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # render over tuple monomials with Fraction coefficients peaked at
+    # 915,033 bytes (1,190,256 on its first call) under Python 3.11.7;
+    # corollary --n-max 6 prints this polynomial over 6!, so it sets the
+    # memory peak of the lemma runs
+    assert peak < 915_033
+
+
+# -- exponent fields ----------------------------------------------------------------
+
+
+def test_an_exponent_past_its_field_raises_naming_the_variable():
+    full = tp(T2) ** _MASK
+    assert full.terms() == {((T2, _MASK),): 1}
+    message = f"^the exponent of t2 would exceed {_MASK}$"
+    with pytest.raises(ValueError, match=message):
+        tp(T2) ** (_MASK + 1)
+    with pytest.raises(ValueError, match=message):
+        full.antiderivative(T2)
+    with pytest.raises(ValueError, match=message):
+        (tp(T1) * tp(T2)).substitute(T1, full)
+
+
+def test_large_exponents_of_different_variables_fit():
+    a, b = tp(T1) ** 200, tp(T2) ** 200
+    assert (a * b).terms() == {((T1, 200), (T2, 200)): 1}
+    # only the term without t2 meets the power of the replacement
+    got = (a + tp(T2)).substitute(T2, tp(T1) ** 55)
+    assert got.terms() == {((T1, 200),): 1, ((T1, 55),): 1}
+
+
+# -- the packed kernel against a reference model --------------------------------------
+# The model is the kernel on decoded monomials: sorted ((variable, exponent),
+# ...) tuples mapped to nonzero Fractions, merged by one accumulator.
+
+
+def collect(pairs):
+    out = {}
+    for mono, c in pairs:
+        c = out.pop(mono, 0) + c
+        if c:
+            out[mono] = c
+    return out
+
+
+def mono_mul(a, b):
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def without(mono, v):
+    """v's exponent in mono, and mono without v."""
+    exps = dict(mono)
+    return exps.pop(v, 0), tuple(sorted(exps.items()))
+
+
+class Model:
+    def __init__(self, pairs):
+        self.terms = collect(pairs)
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.terms().items())
+
+    def __add__(self, other):
+        return Model([*self.terms.items(), *other.terms.items()])
+
+    def __neg__(self):
+        return Model((m, -c) for m, c in self.terms.items())
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        return Model(
+            (mono_mul(ma, mb), ca * cb)
+            for ma, ca in self.terms.items()
+            for mb, cb in other.terms.items()
+        )
+
+    def __pow__(self, k):
+        out = Model([((), Fraction(1))])
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def diff(self, v, k):
+        out = []
+        for mono, c in self.terms.items():
+            e, rest = without(mono, v)
+            if e >= k:
+                out.append((mono_mul(rest, ((v, e - k),) if e > k else ()), c * math.perm(e, k)))
+        return Model(out)
+
+    def antiderivative(self, v):
+        return Model(
+            (mono_mul(mono, ((v, 1),)), c / (without(mono, v)[0] + 1))
+            for mono, c in self.terms.items()
+        )
+
+    def substitute(self, v, r):
+        out = Model([])
+        for mono, c in self.terms.items():
+            e, rest = without(mono, v)
+            out = out + Model([(rest, c)]) * r**e
+        return out
+
+    def integrate(self, v, lower, upper):
+        anti = self.antiderivative(v)
+        return anti.substitute(v, upper) - anti.substitute(v, lower)
+
+    def eval(self, point):
+        return sum(
+            (c * math.prod(Fraction(point[v]) ** e for v, e in mono) for mono, c in self.terms.items()),
+            Fraction(0),
+        )
+
+    def degree_in(self, v):
+        return max((without(mono, v)[0] for mono in self.terms), default=0)
+
+    def variables(self):
+        return tuple(sorted({v for mono in self.terms for v, _ in mono}))
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        universe = self.variables()
+
+        def graded_lex(item):
+            exps = dict(item[0])
+            return sum(exps.values()), [exps.get(v, 0) for v in universe]
+
+        pieces = []
+        for mono, c in sorted(self.terms.items(), key=graded_lex, reverse=True):
+            factors = [v.name if e == 1 else f"{v.name}^{e}" for v, e in mono]
+            body = "*".join(([] if abs(c) == 1 and factors else [str(abs(c))]) + factors)
+            sign = "-" if c < 0 else "+"
+            pieces.append(f" {sign} {body}" if pieces else body if c > 0 else f"-{body}")
+        return "".join(pieces)
+
+
+def from_model(model):
+    # built term by term, a path independent of the operation under test
+    out = MultiPoly.zero()
+    for mono, c in model.terms.items():
+        term = MultiPoly.const(c)
+        for v, e in mono:
+            term = term * tp(v) ** e
+        out = out + term
+    return out
+
+
+def assert_agree(got, want):
+    assert got.terms() == want.terms
+    assert got.render() == want.render()
+    assert got.variables() == want.variables()
+    assert_canonical(got)
+
+
+@given(polys(), polys(), st.integers(0, 3))
+def test_ring_operations_agree_with_the_model(a, b, k):
+    ma, mb = Model.of(a), Model.of(b)
+    assert_agree(a + b, ma + mb)
+    assert_agree(a - b, ma - mb)
+    assert_agree(-a, -ma)
+    assert_agree(a * b, ma * mb)
+    assert_agree(a**k, ma**k)
+    assert from_model(ma) == a and from_model(mb) == b
+    assert (a == b) is (ma.terms == mb.terms)
+    assert (a - b == 0) is (ma.terms == mb.terms)
+
+
+@given(polys(max_exp=4), st.sampled_from(VARS + [X1]), st.integers(0, 5))
+def test_calculus_agrees_with_the_model(p, v, k):
+    model = Model.of(p)
+    assert_agree(p.diff(v, k), model.diff(v, k))
+    assert_agree(p.antiderivative(v), model.antiderivative(v))
+    assert p.degree_in(v) == model.degree_in(v)
+
+
+@given(polys(), free_of_t2, free_of_t2)
+def test_substitution_and_integration_agree_with_the_model(p, q, r):
+    model, mq, mr = Model.of(p), Model.of(q), Model.of(r)
+    assert_agree(p.substitute(T2, q), model.substitute(T2, mq))
+    assert_agree(p.substitute(T1, q), model.substitute(T1, mq))
+    assert_agree(p.integrate(T2, q, r), model.integrate(T2, mq, mr))
+
+
+@given(polys(max_exp=5), st.lists(values, min_size=3, max_size=3))
+def test_eval_agrees_with_the_model(p, vals):
+    point = dict(zip(VARS, vals))
+    assert p.eval(point) == Model.of(p).eval(point)
+
+
+# -- variable registration order -------------------------------------------------------
+
+_REGISTRATION = """
+import contextlib, hashlib, io, sys
+from fractions import Fraction
+from vandiff import cli
+from vandiff.exact import _SLOTS, MultiPoly, var_family
+
+assert not _SLOTS, "importing the package registered a variable"
+if sys.argv[1] == "x-first":
+    for v in var_family("x", 4):
+        MultiPoly.variable(v)
+t1, t2 = map(MultiPoly.variable, var_family("t", 2))
+x1, x2 = map(MultiPoly.variable, var_family("x", 2))
+p = (t1 - x2) ** 3 * (x1 + Fraction(1, 3) * t2) - t2 * x1
+print(p.render())
+print(sorted(p.terms().items()))
+print(p.eval(dict(zip(var_family("t", 2) + var_family("x", 2), (1, Fraction(-2, 5), 3, 7)))))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.main(["verify-lemmas", "--n-max", "3"])
+print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def run_registration(order):
+    proc = subprocess.run(
+        [sys.executable, "-c", _REGISTRATION, order],
+        capture_output=True,
+        text=True,
+        env={k: v for k, v in os.environ.items() if not k.startswith("VANDIFF_")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_output_does_not_depend_on_which_variables_came_first():
+    usual, x_first = run_registration("t-first"), run_registration("x-first")
+    assert usual.splitlines()[0] == (
+        "1/3*t1^3*t2 + t1^3*x1 - t1^2*t2*x2 - 3*t1^2*x1*x2 + t1*t2*x2^2"
+        " + 3*t1*x1*x2^2 - 1/3*t2*x2^3 - x1*x2^3 - t2*x1"
+    )
+    assert x_first == usual
