@@ -28,6 +28,11 @@ Variables are (family, index) pairs ordered family-first, so the
 t-family sorts before the x-family and rendered output is deterministic:
 terms are emitted in graded-lexicographic order (total degree first,
 then exponent vectors with the earliest variable most significant).
+
+The box integrals at the end integrate over a rectangle with rational
+bounds in integer arithmetic, one denominator per axis: _box_integral a
+polynomial times g(t_1 + ... + t_n), and _vandermonde_box_integral the
+difference product V(t) times it, as a determinant, without expanding V.
 """
 
 from __future__ import annotations
@@ -476,3 +481,134 @@ class MultiPoly:
         return f"MultiPoly({self.render()})"
 
     __str__ = render
+
+
+# -- box integrals ------------------------------------------------------------
+
+
+def _moment_table(a, b, rows: int, top: int) -> tuple[list[list[int]], int]:
+    """Integers T[e][q] and one d >= 1 with T[e][q] / d = m(e + q) / q!
+    for e < rows and q < top, where m(e) = (b^(e+1) - a^(e+1)) / (e+1) is
+    the e-th moment of the axis (a, b).
+
+    With a = A/L and b = B/L over one L, and R = rows + top - 1 the
+    largest power, m(r - 1) / q! = (B^r - A^r) L^(R-r) (R! / (r q!)) over
+    L^R R!, and r q! divides R! because q < r.  So every entry is an
+    integer product, and no Fraction is built.
+    """
+    a, b = _coeff(a), _coeff(b)
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    last = rows + top - 1
+    scale = math.factorial(last)
+    # span[r] = (B^r - A^r) L^(R-r) for r = 1..R, built from the top power down
+    span, lo_r, hi_r, den_r = [0] * (last + 1), 1, 1, den**last
+    for r in range(1, last + 1):
+        lo_r, hi_r, den_r = lo_r * lo, hi_r * hi, den_r // den
+        span[r] = (hi_r - lo_r) * den_r
+    facts = [math.factorial(q) for q in range(top)]
+    table = [
+        [span[e + q + 1] * (scale // ((e + q + 1) * facts[q])) for q in range(top)]
+        for e in range(rows)
+    ]
+    return table, den**last * scale
+
+
+def _series_mul_add(out: list[int], acc: list[int], row: list[int]) -> list[int]:
+    """Add the product of the series acc and row in z to out, truncated
+    to the length of out, and return out."""
+    top = len(out)
+    for j, r in enumerate(row):
+        for k in range(top - j):
+            out[k + j] += acc[k] * r
+    return out
+
+
+def _box_integral(p: MultiPoly, tvars: Sequence[VarId], bounds, g=(1,)) -> Fraction:
+    """Exact integral of p(t) * g(t_1 + ... + t_n) over the box whose axis
+    i runs over the constant bounds (a_i, b_i) of variable tvars[i].
+
+    g holds the coefficients g_0, g_1, ..., g_K of a polynomial in one
+    variable, lowest first; an empty g is the zero polynomial.  Monomials
+    integrate axis by axis, and the multinomial theorem gives
+
+        int t^alpha (t_1 + ... + t_n)^k dt = k! [z^k] prod_i A_i(alpha_i; z),
+        A_i(e; z) = sum_{j<=K} m_i(e + j) z^j / j!,
+        m_i(e) = (b_i^(e+1) - a_i^(e+1)) / (e + 1),
+
+    so one pass over the terms of p multiplies truncated series.  p's
+    integer numerators are used as stored, and each axis table
+    (_moment_table) and the coefficients of g are scaled to integers over
+    one denominator each: the pass is integer multiply-add, and one
+    Fraction is built at the end.
+    """
+    g = [_coeff(c) for c in g]
+    if not g or p.is_zero:
+        return Fraction(0)
+    if not bounds:
+        raise ValueError("box needs at least one axis")
+    for v in p.variables():
+        if v not in tvars:
+            raise ValueError(f"{v.name} is not an integration variable")
+    exponents, coeffs, denominator = p._integer_terms(tvars)
+    weights, den = _over_one_denominator(
+        [c * math.factorial(k) for k, c in enumerate(g)]
+    )
+    denominator *= den
+    tables = []  # tables[i][e] = A_i(e; z), coefficients of z^0 .. z^K
+    for i, (a, b) in enumerate(bounds):
+        table, den = _moment_table(a, b, max(exps[i] for exps in exponents) + 1, len(g))
+        tables.append(table)
+        denominator *= den
+    first, later = tables[0], tables[1:]
+    total = 0
+    for exps, c in zip(exponents, coeffs):
+        acc = first[exps[0]]
+        for table, e in zip(later, exps[1:]):
+            acc = _series_mul_add([0] * len(g), acc, table[e])
+        total += c * sum(w * s for w, s in zip(weights, acc))
+    return Fraction(total, denominator)
+
+
+def _vandermonde_box_integral(bounds, g) -> Fraction:
+    """_box_integral(vandermonde_poly(n), ..., bounds, g) without expanding
+    V, for n = len(bounds) axes.
+
+    Row i of V(t) = det[t_i^(j-1)] depends on t_i alone, and so does the
+    factor exp(z t_i) of exp(z (t_1 + ... + t_n)).  Multilinearity in the
+    rows (Andreief's identity) then makes the integral of V(t) (sum t)^k
+    equal to k! [z^k] det A(z), where A_ij(z) = A_i(j - 1; z) is the moment series
+    of _box_integral.  The determinant is a Laplace expansion along the
+    rows, memoised on column subsets S of the rows taken so far:
+
+        D(S + {j}) += (-1)^#{s in S : s > j} A_|S|(j) D(S),
+
+    which is n 2^(n-1) - n truncated series products in all, against the
+    (n - 1) n! of a pass over the n! terms of the expanded V.
+    """
+    g = [_coeff(c) for c in g]
+    if not g:
+        return Fraction(0)
+    weights, denominator = _over_one_denominator(
+        [c * math.factorial(k) for k, c in enumerate(g)]
+    )
+    n, top = len(bounds), len(g)
+    tables = []  # tables[i][j] = A_ij(z), coefficients of z^0 .. z^K
+    for a, b in bounds:
+        table, den = _moment_table(a, b, n, top)
+        tables.append(table)
+        denominator *= den
+    # dets[S]: the series of the minor on the first |S| rows and the columns
+    # in the bit set S
+    dets = {1 << j: row for j, row in enumerate(tables[0])}
+    for table in tables[1:]:
+        signed = (table, [[-v for v in row] for row in table])
+        grown = {}
+        for cols, acc in dets.items():
+            for j in range(n):
+                if not cols >> j & 1:
+                    out = grown.setdefault(cols | 1 << j, [0] * top)
+                    _series_mul_add(out, acc, signed[(cols >> j).bit_count() & 1][j])
+        dets = grown
+    (series,) = dets.values()
+    return Fraction(sum(w * s for w, s in zip(weights, series)), denominator)

@@ -227,7 +227,7 @@ class Reciprocal(AnalyticFunction):
         np = _numpy_if_array(x)
         if np is not None:
             base = x - self.shift
-            if np.any(base == 0.0):
+            if not base.all():  # a zero, of either sign
                 raise PoleError(f"evaluation at the pole {self.shift}")
             # numpy's pow is some 30x slower on negative bases, so this
             # raises |base| and puts the sign back for odd powers

@@ -3,8 +3,9 @@
 The central claim checked here: integrating V(t) * f^(n)(t_1 + ... + t_n)
 over the sequential rectangle R(x) gives V(x) times the divided difference
 of f at the transformed points y.  Two pipelines verify it, an exact one
-(rational points, polynomial f, the box integral by per-axis moments) and a
-floating one (Gauss-Legendre cubature vs. the divided-difference table).
+(rational points, polynomial f, the box integral as a determinant of
+per-axis moment series) and a floating one (Gauss-Legendre cubature vs.
+the divided-difference table).
 The supporting derivative and vertex-sum identities are certified exactly
 by the seeded lemma suite; its registry _LEMMA_SUITES alone spells the
 group names, which each suite takes for its reports and its stream.
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 # divided_difference is unused here; perfbench/tracing.py patches it by this name
 from .divdiff import divided_difference, divided_difference_side
-from .exact import MultiPoly, VarId, _coeff, _over_one_denominator, var_family
+from .exact import MultiPoly, VarId, _box_integral, _vandermonde_box_integral, var_family
 from .funcs import AnalyticFunction, Polynomial
 from .points import PointSequence, monotone_vertices, x_from_y
 from .quad import DEFAULT_BUDGET, _require_pole_outside, integral_side
@@ -41,6 +42,7 @@ from .symfun import (
     elementary_symmetric,
     enumerate_vertices,
     omega,
+    require_symbolic_size,
     vandermonde_poly,
     vandermonde_product,
 )
@@ -134,59 +136,6 @@ def _report(
     )
 
 
-def _box_integral(p: MultiPoly, tvars: Sequence[VarId], bounds, g=(1,)) -> Fraction:
-    """Exact integral of p(t) * g(t_1 + ... + t_n) over the box whose axis
-    i runs over the constant bounds (a_i, b_i) of variable tvars[i].
-
-    g holds the coefficients g_0, g_1, ..., g_K of a polynomial in one
-    variable, lowest first; an empty g is the zero polynomial.  Monomials
-    integrate axis by axis, and the multinomial theorem gives
-
-        int t^alpha (t_1 + ... + t_n)^k dt = k! [z^k] prod_i A_i(alpha_i; z),
-        A_i(e; z) = sum_{j<=K} m_i(e + j) z^j / j!,
-        m_i(e) = (b_i^(e+1) - a_i^(e+1)) / (e + 1),
-
-    so one pass over the terms of p multiplies truncated series.  p's
-    integer numerators are used as stored, and each axis table and the
-    coefficients of g are scaled to integers over one denominator each:
-    the pass is integer multiply-add, and one Fraction is built at the
-    end.
-    """
-    g = [_coeff(c) for c in g]
-    if not g or p.is_zero:
-        return Fraction(0)
-    if not bounds:
-        raise ValueError("box needs at least one axis")
-    top = len(g)  # K + 1 series coefficients
-    for v in p.variables():
-        if v not in tvars:
-            raise ValueError(f"{v.name} is not an integration variable")
-    exponents, coeffs, denominator = p._integer_terms(tvars)
-    weights, den = _over_one_denominator(
-        [c * math.factorial(k) for k, c in enumerate(g)]
-    )
-    denominator *= den
-    tables = []  # tables[i][e] = A_i(e; z), coefficients of z^0 .. z^K
-    for i, (a, b) in enumerate(bounds):
-        a, b = _coeff(a), _coeff(b)
-        rows = max(exps[i] for exps in exponents) + 1
-        m = [(b ** (r + 1) - a ** (r + 1)) / (r + 1) for r in range(rows + top - 1)]
-        flat, den = _over_one_denominator(
-            [m[e + j] / math.factorial(j) for e in range(rows) for j in range(top)]
-        )
-        tables.append([flat[e * top : (e + 1) * top] for e in range(rows)])
-        denominator *= den
-    first, later = tables[0], tables[1:]
-    total = 0
-    for exps, c in zip(exponents, coeffs):
-        acc = first[exps[0]]
-        for table, e in zip(later, exps[1:]):
-            row = table[e]
-            acc = [sum(acc[k - j] * row[j] for j in range(k + 1)) for k in range(top)]
-        total += c * sum(w * s for w, s in zip(weights, acc))
-    return Fraction(total, denominator)
-
-
 def _require_exact_polynomial(f: AnalyticFunction) -> Polynomial:
     # Polynomial coerces its coefficients to Fraction on construction, so
     # the family check alone guarantees exactness
@@ -233,19 +182,18 @@ def check_identity_numeric(
 def exact_integral_value(x: PointSequence, f: Polynomial) -> Fraction:
     """Exact integral of V(t) * f^(n)(t_1 + ... + t_n) over R(x).
 
-    Every bound of R(x) is a rational constant, so the integral is one
-    pass over the terms of the expanded V: per-axis moment tables of the
-    box, combined with the coefficients of f^(n) by the multinomial
-    theorem (see _box_integral).  The product V * f^(n)(sum t) is never
-    expanded.
+    Every bound of R(x) is a rational constant, so the integral is a
+    determinant of per-axis moment series of the box, combined with the
+    coefficients of f^(n) (see _vandermonde_box_integral): n 2^(n-1) - n
+    integer series products, and neither V nor V * f^(n)(sum t) is ever
+    expanded.  n is still held to SYMBOLIC_LIMIT, the cap of the commands
+    that do expand V, so the symbolic commands share one bound.
     """
     if not x.is_exact:
         raise ValueError("the exact pipeline needs rational points")
     f = _require_exact_polynomial(f)
-    n = x.n
-    return _box_integral(
-        vandermonde_poly(n, "t"), var_family("t", n), x.intervals, f.derivative(n).coeffs
-    )
+    require_symbolic_size(x.n)
+    return _vandermonde_box_integral(x.intervals, f.derivative(x.n).coeffs)
 
 
 def check_identity_exact(

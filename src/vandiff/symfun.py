@@ -10,8 +10,9 @@ V(t_1,...,t_n) = prod_{i<j} (t_j - t_i), the operators
 and vertex enumeration of axis-aligned rectangles.
 
 The expanded difference product has n! monomials, so fully symbolic work
-is capped at n <= SYMBOLIC_LIMIT (7); numeric pipelines evaluate the
-product form directly instead and have no such cap.
+is capped at n <= SYMBOLIC_LIMIT (7), checked by require_symbolic_size;
+the exact integral side never expands it but keeps the same cap.  Numeric
+pipelines evaluate the product form directly instead and have no such cap.
 """
 
 from __future__ import annotations
@@ -70,11 +71,20 @@ def vandermonde_poly(n: int, family: str = "t") -> MultiPoly:
     """
     if n < 1:
         raise ValueError("need at least one variable")
+    require_symbolic_size(n)
+    return _expand_vandermonde(n, family)
+
+
+def require_symbolic_size(n: int) -> None:
+    """Raise SymbolicLimitError for a dimension n above SYMBOLIC_LIMIT.
+
+    The one home of the cap and its message, for the commands that expand
+    V and for the exact integral side, which does not but keeps their bound.
+    """
     if n > SYMBOLIC_LIMIT:
         raise SymbolicLimitError(
             f"expanded difference product for n={n} exceeds the symbolic cap {SYMBOLIC_LIMIT}"
         )
-    return _expand_vandermonde(n, family)
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vandiff import identity
+from vandiff import identity, symfun
 from vandiff.divdiff import divided_difference
 from vandiff.exact import MultiPoly, var_family
 from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal, Sine
@@ -146,6 +146,56 @@ def test_exact_integral_value_is_zero_below_degree_n():
     # f^(n) vanishes when deg f < n
     x = PointSequence.exact([0, 1, 2])
     assert exact_integral_value(x, Polynomial((1, 2))) == 0
+    x = PointSequence.exact([Fraction(-3, 2), 0, Fraction(1, 3), 1, 2, Fraction(7, 2)])
+    assert exact_integral_value(x, Polynomial((1, -2, 3, Fraction(1, 5), 7))) == 0
+
+
+def expanded_integral_value(x, f):
+    """The reference route: one pass over the n! terms of the expanded V."""
+    n = x.n
+    return identity._box_integral(
+        vandermonde_poly(n, "t"), var_family("t", n), x.intervals, f.derivative(n).coeffs
+    )
+
+
+@st.composite
+def determinant_cases(draw):
+    n = draw(st.integers(1, 5))
+    numerators = st.integers(-60, 60)
+    if draw(st.booleans()):  # every point over one shared denominator
+        shared = draw(st.integers(1, 30))
+        pool = numerators.map(lambda p: Fraction(p, shared))
+    else:
+        pool = st.builds(Fraction, numerators, st.integers(1, 30))
+    points = sorted(draw(st.lists(pool, min_size=n + 1, max_size=n + 1, unique=True)))
+    degree = draw(st.integers(n, n + 4))
+    coeffs = draw(st.lists(_coefficient, min_size=degree, max_size=degree))
+    leading = draw(_coefficient.filter(bool))
+    return PointSequence.exact(points), Polynomial((*coeffs, leading))
+
+
+@settings(max_examples=120, deadline=None)
+@given(determinant_cases())
+def test_exact_integral_value_equals_the_expanded_route(case):
+    x, f = case
+    value = exact_integral_value(x, f)
+    assert isinstance(value, Fraction)
+    assert value == expanded_integral_value(x, f)
+
+
+def test_exact_integral_value_equals_the_expanded_route_at_n7():
+    points = [Fraction(-7, 3), Fraction(-1, 2), 0, Fraction(2, 7), 1, Fraction(9, 5), 3, 5]
+    x = PointSequence.exact(points)
+    f = Polynomial(tuple(Fraction((-1) ** k * (k + 1), k % 4 + 1) for k in range(12)))
+    assert exact_integral_value(x, f) == expanded_integral_value(x, f)
+
+
+def test_exact_integral_value_does_not_expand_v():
+    # the determinant route never asks for the expanded difference product
+    symfun._expand_vandermonde.cache_clear()
+    x = PointSequence.exact([0, 1, Fraction(5, 2), 3, 4, Fraction(13, 3), 6])
+    exact_integral_value(x, monomial(8))
+    assert symfun._expand_vandermonde.cache_info().currsize == 0
 
 
 def test_exact_pipeline_rejects_wrong_inputs():
