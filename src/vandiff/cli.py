@@ -21,8 +21,9 @@ infeasible-input errors, such as a symbolic dimension n above 7.
 A command that takes --order, --tolerance, --budget or --seed takes its
 default from VANDIFF_ORDER, VANDIFF_TOLERANCE, VANDIFF_BUDGET or
 VANDIFF_SEED when that is set, and an explicit flag beats it; a command
-without the option never reads the variable.  Worker count never
-influences output bytes.
+without the option never reads the variable.  The cubature runs on one
+thread; --workers is accepted and checked to be at least 1, for
+compatibility, and has no other effect.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="parallel workers for cubature, at least 1 (never changes output)",
+        help="accepted for compatibility, at least 1; cubature runs on one thread",
     )
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument(
@@ -278,9 +279,7 @@ def cmd_divdiff(args) -> int:
     }
     passed = True
     if args.check or args.via_integral:
-        via = divided_difference_via_integral(
-            points, f, args.order, workers=args.workers, budget=args.budget
-        )
+        via = divided_difference_via_integral(points, f, args.order, budget=args.budget)
     if args.check:
         abs_err, rel_err, passed = _float_verdict(via, table_value, args.tolerance)
         record.update(
@@ -315,9 +314,7 @@ def cmd_integral(args) -> int:
     if args.symbolic:
         record["value"] = exact_integral_value(x, f)
     else:
-        result = integral_side(
-            x, f, args.order, workers=args.workers, budget=args.budget
-        )
+        result = integral_side(x, f, args.order, budget=args.budget)
         record.update(
             order=args.order,
             evaluations=result.function_evaluations,
@@ -335,12 +332,7 @@ def cmd_theorem1(args) -> int:
         report = check_identity_exact(x, f)
     else:
         report = check_identity_numeric(
-            x,
-            f,
-            args.order,
-            args.tolerance,
-            workers=args.workers,
-            budget=args.budget,
+            x, f, args.order, args.tolerance, budget=args.budget
         )
     _emit([report.to_dict()], args.format)
     if not args.symbolic:

@@ -17,8 +17,8 @@ slab evaluates it at s + T.
 Every family takes a scalar (float, Fraction, numpy scalar) or a numpy
 array, and a polynomial a MultiPoly too.  Only the cubature takes the
 array branches: it alone loads numpy, as nothing is an array before
-numpy is, and it raises their overflow itself, in every thread, naming
-f.  A scalar that overflows raises OverflowError naming f here.
+numpy is, and it raises their overflow itself, naming f.  A scalar that
+overflows raises OverflowError naming f here.
 
 CLI grammar: "poly:c0,c1,..." | "exp:rate" | "sin:freq,phase" | "recip:shift".
 """

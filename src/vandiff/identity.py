@@ -159,10 +159,14 @@ def check_identity_numeric(
 ) -> IdentityReport:
     """Floating-point check: cubature over R(x) vs. the table route.
 
-    The worker count never appears in the report, so output is identical
-    for any parallelism level.
+    The cubature runs on the calling thread.  `workers` is accepted for
+    existing callers that pass it, such as perfbench's worker with
+    workers=1: it must be at least 1, else ValueError, and has no other
+    effect, so it never appears in the report.
     """
-    cubature = integral_side(x, f, order, workers=workers, budget=budget)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    cubature = integral_side(x, f, order, budget=budget)
     return _report(
         "integral-vs-divided-difference",
         x.n,
@@ -247,7 +251,6 @@ def divided_difference_via_integral(
     f: AnalyticFunction,
     order: int = DEFAULT_ORDER,
     *,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Divided difference at y recovered from the integral route.
@@ -259,7 +262,7 @@ def divided_difference_via_integral(
     # pole at an end of [y_1, y_{n+1}]
     _require_pole_outside(f, yf[0], yf[-1])
     x = x_from_y(PointSequence(yf))
-    cubature = integral_side(x, f, order, workers=workers, budget=budget)
+    cubature = integral_side(x, f, order, budget=budget)
     return cubature.value / vandermonde_product(yf)
 
 

@@ -19,9 +19,10 @@ leading coordinates.  Where f^(n) splits into separable terms (`split`),
 the kernels K0 * G_r are fixed and a whole block is contracted in a few
 einsum passes; otherwise each slab forms K0 * f^(n) and contracts it on
 its own.  einsum runs its own loops, so no BLAS call enters the result.
-The slab totals are combined with math.fsum, so the result is identical
-for any worker count.  An evaluation budget guards against infeasible
-order/dimension combinations instead of silently truncating.
+The blocks are summed one after another, in lexicographic order, and
+the slab totals are combined with math.fsum, which is exactly rounded.
+An evaluation budget guards against infeasible order/dimension
+combinations instead of silently truncating.
 
 numpy is imported by the functions that handle arrays when they run,
 so that importing this module, as every import of the package does,
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -112,10 +112,9 @@ def integrate_over_rectangle(
     integrand: Callable,
     order: int,
     *,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> CubatureResult:
-    """Tensor-product rule over the box, deterministic for any workers.
+    """Tensor-product rule over the box, bit-reproducible.
 
     `intervals` holds one (a, b) pair of bounds per axis, so its length is
     the dimension n; each bound is converted to float.  The grid is
@@ -133,13 +132,11 @@ def integrate_over_rectangle(
     weight grid times the integrand.  Each total times its slab's leading
     weights is one partial sum.  An overflow in the weights, in either
     stage of the integrand, in a partial sum or in their sum raises
-    FloatingPointError.  At most min(workers, number of blocks) threads
-    sum the blocks; workers below 1 raise ValueError.
+    FloatingPointError.  The blocks are summed in lexicographic order on
+    the calling thread.
     """
     import numpy as np
 
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     rule = gauss_legendre(order)
     n = len(intervals)
     total = order**n
@@ -168,44 +165,29 @@ def integrate_over_rectangle(
 
     trailing = [axis_nodes[i].reshape(view(i)) for i in range(k, n)]
 
-    def block_sum(index: tuple[int, ...]) -> list[float]:
-        # index picks a node on each leading axis but the last, which the
-        # block spans
-        lead = [np.full(order, lead_nodes[i][j]) for i, j in enumerate(index)]
-        fixed = [lead_weights[i][j] for i, j in enumerate(index)]
-        if k:
-            lead.append(lead_nodes[-1])
-            weights = [math.prod(fixed + [w]) for w in lead_weights[-1]]
-        else:
-            weights = [1.0]
-        totals = block_integrand(*lead)
-        return [w * float(t) for w, t in zip(weights, totals, strict=True)]
-
-    def worker_block_sum(index: tuple[int, ...]) -> list[float]:
-        # errstate is per thread, so a worker sets it for each block it sums
-        with np.errstate(over="raise"):
-            return block_sum(index)
-
     spread = max(k - 1, 0)  # the leading axes that a block does not span
-    blocks = itertools.product(range(order), repeat=spread)  # lexicographic
-    workers = min(workers, order**spread)  # no thread without a block to sum
+    partials = []
     with np.errstate(over="raise"):
         slab_weights = axis_weights[k].reshape(view(k))
         for i in range(k + 1, n):
             slab_weights = slab_weights * axis_weights[i].reshape(view(i))
         block_integrand = integrand(slab_weights, *trailing)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_block = list(pool.map(worker_block_sum, blocks))
-        else:
-            per_block = [block_sum(b) for b in blocks]
-    partials = list(itertools.chain.from_iterable(per_block))
+        # index picks a node on each leading axis but the last, which the
+        # block spans; lexicographic order
+        for index in itertools.product(range(order), repeat=spread):
+            lead = [np.full(order, lead_nodes[i][j]) for i, j in enumerate(index)]
+            fixed = [lead_weights[i][j] for i, j in enumerate(index)]
+            if k:
+                lead.append(lead_nodes[-1])
+                weights = [math.prod(fixed + [w]) for w in lead_weights[-1]]
+            else:
+                weights = [1.0]
+            totals = block_integrand(*lead)
+            partials += [w * float(t) for w, t in zip(weights, totals, strict=True)]
     # a total times its leading weights is a Python float, which
     # overflows to inf without raising
     if not all(map(math.isfinite, partials)):
         raise FloatingPointError("a slab total overflows the float range")
-    # fsum is exactly rounded, so combining fixed slab totals cannot
-    # depend on how blocks were assigned to workers
     try:
         return CubatureResult(math.fsum(partials), total)
     except OverflowError:
@@ -225,7 +207,6 @@ def integral_side(
     f: AnalyticFunction,
     order: int,
     *,
-    workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> CubatureResult:
     """Integral side of the main identity: the pairwise-difference product
@@ -295,9 +276,7 @@ def integral_side(
         return block
 
     try:
-        return integrate_over_rectangle(
-            intervals, integrand, order, workers=workers, budget=budget
-        )
+        return integrate_over_rectangle(intervals, integrand, order, budget=budget)
     except FloatingPointError:
         raise OverflowError(
             f"the cubature for {f.describe()} overflows the float range"

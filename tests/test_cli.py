@@ -701,7 +701,8 @@ def test_worker_count_never_changes_bytes():
 @pytest.mark.parametrize("function", ["exp:1", "sin:1,0", "recip:10"])
 def test_worker_count_never_changes_bytes_across_slabs(monkeypatch, function):
     # six points make n = 5, which order 20 cuts into 400 slabs in 20
-    # blocks, so the worker threads do start; five make n = 4, one block
+    # blocks; five make n = 4, one block.  --workers starts no thread, and
+    # no value of it may move a byte
     for name in ("VANDIFF_ORDER", "VANDIFF_TOLERANCE", "VANDIFF_SEED", "VANDIFF_BUDGET"):
         monkeypatch.delenv(name, raising=False)
     n5, n4 = "--x=-1.5,-0.7,0.1,0.8,1.6,2.4", "--x=-1.5,-0.7,0.1,0.8,1.6"
@@ -806,7 +807,8 @@ def test_command_rejects_options_it_does_not_read(command, flag):
 
 # Run in a child, since this process loaded numpy with the test modules.
 # Every command but the floating cubature leaves numpy unloaded; the
-# floating theorem1 at the end shows that the check can see it load.
+# floating theorem1 at the end shows that the check can see it load.  No
+# command, the cubature included, loads a thread pool (concurrent.futures).
 _NUMPY_ON_FIRST_USE = """
 import contextlib, io, sys
 import vandiff
@@ -828,8 +830,10 @@ for argv in [
 ]:
     run(argv)
     assert "numpy" not in sys.modules, argv
+    assert "concurrent.futures" not in sys.modules, argv
 run(["theorem1", "--x", "0,0.5,2", "--function", "exp:1"])
 assert "numpy" in sys.modules
+assert "concurrent.futures" not in sys.modules
 """
 
 

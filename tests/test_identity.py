@@ -256,6 +256,14 @@ def test_numeric_report_shape():
     assert "workers" not in report.config
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        check_identity_numeric(
+            PointSequence.floating([0, 1, 2]), Exponential(1.0), 8, workers=workers
+        )
+
+
 # -- volume identity ------------------------------------------------------------------
 
 
