@@ -11,8 +11,13 @@ trailing-axis sums into separable terms phi_r(s) * G_r(T) (`split`): an
 exponential has one, centred so that each factor stays within about the
 range of the translate itself, and a sinusoid two, by angle addition.
 The grids G_r are fixed for the call, so a block of slabs costs no pass
-of f over the grid; a polynomial or reciprocal has no split, and each
-slab evaluates it at s + T.
+of f over the grid.  A polynomial or reciprocal has no split; for those
+the cubature asks once per call for a weighted translate
+(`weighted_translate`), which gives each slab K * f(s + T) for the fixed
+kernel K.  By default that is the product of K with f at s + T; a
+reciprocal forms (T - shift) and scale * K once, and a slab then costs
+one shifted sum, one reciprocal and the squarings and products of
+binary powering, written into two buffers that every slab reuses.
 
 Every family takes a scalar (float, Fraction, numpy scalar) or a numpy
 array, and a polynomial a MultiPoly too.  Only the cubature takes the
@@ -39,8 +44,9 @@ class PoleError(ValueError):
 
 class AnalyticFunction:
     """Base interface: callable, closed-form derivatives, optional pole,
-    and an optional split of the translate over a fixed grid into
-    separable terms."""
+    an optional split of the translate over a fixed grid into separable
+    terms, and the kernel-weighted translate that cubature takes one
+    slab at a time where there is no split."""
 
     def derivative(self, k: int = 1) -> "AnalyticFunction":
         raise NotImplementedError
@@ -54,6 +60,12 @@ class AnalyticFunction:
         up to rounding, for an array s of shifts about `centre`.  A family
         whose translate does not separate has none."""
         return ()
+
+    def weighted_translate(self, kernel, total):
+        """at(s) == kernel * self(s + total) for a float shift s, with
+        `kernel` and `total` arrays of one shape.  The array at(s)
+        returns may be overwritten by the next call."""
+        return lambda s: kernel * self(s + total)
 
     def pole(self) -> float | None:
         return None
@@ -245,6 +257,43 @@ class Reciprocal(AnalyticFunction):
         except (OverflowError, ZeroDivisionError):
             raise OverflowError(_overflow(self)) from None
         return value
+
+    def weighted_translate(self, kernel, total):
+        """kernel * scale / (s + total - shift)^power as one shifted sum,
+        one reciprocal and binary powering, in two buffers that every
+        call reuses.  (total - shift) and scale * kernel are formed once;
+        the first set bit of the power multiplies into the result from
+        scale * kernel, so neither costs a pass of its own.  Taking the
+        reciprocal first, a power whose value underflows cannot overflow
+        on the way.  A zero base raises PoleError; an overflow raises
+        FloatingPointError where numpy is set to raise it, as in the
+        cubature."""
+        if self.power < 1:  # no reciprocal to take
+            return super().weighted_translate(kernel, total)
+        np = _numpy_if_array(total)
+        d = total - self.shift
+        ks = _scaled(self.scale, kernel)
+        r = np.empty_like(d)
+        acc = np.empty_like(d)
+
+        def at(s):
+            np.add(d, s, out=r)
+            try:
+                with np.errstate(divide="raise"):
+                    np.reciprocal(r, out=r)
+            except FloatingPointError:
+                raise PoleError(f"evaluation at the pole {self.shift}") from None
+            factor, power = ks, self.power
+            while True:
+                if power & 1:
+                    np.multiply(factor, r, out=acc)
+                    factor = acc
+                power >>= 1
+                if not power:
+                    return acc
+                np.multiply(r, r, out=r)
+
+        return at
 
     def pole(self) -> float:
         return self.shift

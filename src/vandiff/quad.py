@@ -17,8 +17,11 @@ V(trailing nodes), and a block only contracts it, along each trailing
 axis, with the vectors of differences between that axis and the slab's
 leading coordinates.  Where f^(n) splits into separable terms (`split`),
 the kernels K0 * G_r are fixed and a whole block is contracted in a few
-einsum passes; otherwise each slab forms K0 * f^(n) and contracts it on
-its own.  einsum runs its own loops, so no BLAS call enters the result.
+einsum passes; otherwise f^(n) gives, once per call, a weighted
+translate (`AnalyticFunction.weighted_translate`) that forms K0 * f^(n)
+at a slab's sums, for a reciprocal by one reciprocal and squarings into
+buffers that every slab reuses, and each slab contracts it on its own.
+einsum runs its own loops, so no BLAS call enters the result.
 The blocks are summed one after another, in lexicographic order, and
 the slab totals are combined with math.fsum, which is exactly rounded.
 An evaluation budget guards against infeasible order/dimension
@@ -224,7 +227,8 @@ def integral_side(
     the sum over its terms of phi_r(s) times K0 * G_r contracted, with the
     split centred at the midpoint of the leading sums, so the fixed
     kernels K0 * G_r meet a whole block's vectors at once; otherwise
-    K0 * f^(n)(s + T) is formed and contracted one slab at a time.
+    f^(n)'s weighted translate, built once per call, forms
+    K0 * f^(n)(s + T) and it is contracted one slab at a time.
     """
     n = x.n
     if n > MAX_DIMENSION:
@@ -254,6 +258,7 @@ def integral_side(
         # the midpoint of the range of the leading sums
         centre = sum(0.5 * (a + b) for a, b in intervals[: n - len(trailing)])
         terms = [(phi, kernel * grid) for phi, grid in fn.split(total, centre)]
+        at = None if terms else fn.weighted_translate(kernel, total)
 
         def block(*lead):
             # h[z, q] = prod_i (u_q - l_i) over slab z's leading coordinates l
@@ -267,10 +272,13 @@ def integral_side(
             if terms:
                 totals = sum(phi(sums) * _contract(g, factors) for phi, g in terms)
             else:
-                totals = np.array([
-                    _contract(kernel * fn(s + total), [h[z : z + 1] for h in factors])[0]
-                    for z, s in enumerate(sums)
-                ])
+                totals = []
+                for z, s in enumerate(sums):
+                    acc = at(s)
+                    for h in factors:
+                        acc = np.einsum("q,q...->...", h[z], acc)
+                    totals.append(acc)
+                totals = np.array(totals)
             return vandermonde_product(lead) * totals
 
         return block

@@ -143,6 +143,46 @@ def test_reciprocal_array_path_matches_scalar_path(power):
     assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
 
+@pytest.mark.parametrize("s", [0.0, 0.7, -0.7])
+@pytest.mark.parametrize("power", range(10))
+def test_reciprocal_weighted_translate_matches_the_scalar_path(power, s):
+    # scale * kernel times the reciprocal to the power by squarings, against
+    # kernel * scale / base**power on the scalar path at the same rounded
+    # base d + s, d = total - shift.  The reciprocal's rounding enters the
+    # power p times, a squaring's floor(p / 2^j) times, p - popcount(p) in
+    # all, and each of the popcount(p) products into the result and the
+    # product scale * kernel once: 2p + 1 roundings of at most 2^-53 each.
+    # The scalar path rounds the pow (under one ulp, two roundings), the
+    # quotient and the product with the kernel.  One more ulp covers the
+    # second-order terms.
+    f = Reciprocal(10.0, power, float((-1) ** (power - 1) * math.factorial(max(power - 1, 0))))
+    rng = np.random.default_rng(power)
+    shape = (2, 250)
+    total = np.concatenate([rng.uniform(-2.0, 9.0, shape), rng.uniform(11.0, 40.0, shape)])
+    kernel = rng.uniform(-3.0, 3.0, total.shape)
+    base = (total - f.shift) + s
+    at_origin = Reciprocal(0.0, power, f.scale)
+    want = np.array([k * at_origin(float(b)) for k, b in zip(kernel.flat, base.flat)])
+    with np.errstate(over="raise"):
+        got = f.weighted_translate(kernel, total)(s).ravel()
+    assert np.all(np.abs(got - want) <= (2 * power + 6) * np.spacing(np.abs(want)))
+
+
+def test_reciprocal_weighted_translate_edges():
+    kernel = np.ones(3)
+    with pytest.raises(PoleError, match="pole 10.0"):
+        Reciprocal(10.0).weighted_translate(kernel, np.array([9.0, 10.0, 11.0]))(0.0)
+    # 1e-40 to the power 9 is far beyond float range
+    tiny = Reciprocal(0.0, 9).weighted_translate(kernel, np.array([1.0, 1e-40, 2.0]))
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        tiny(0.0)
+    # the reciprocal of 1e60 to the power 9 underflows, and raising 1e60
+    # to the power 9 first would overflow
+    far = Reciprocal(1e60, 9).weighted_translate(kernel, np.array([-1.0, 0.0, 1.0]))
+    with np.errstate(over="raise", divide="raise"):
+        assert far(0.7).tolist() == [0.0] * 3
+
+
 def test_scalar_overflow_is_named():
     # math.sin(inf) raises a bare ValueError, math.exp(inf) returns inf
     with pytest.raises(OverflowError, match=r"^sin:1e\+308,0 overflows the float range$"):

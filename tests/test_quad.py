@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 
 from vandiff import quad
-from vandiff.funcs import Exponential, PoleError, Polynomial, Reciprocal, Sine
+from vandiff.funcs import (
+    AnalyticFunction,
+    Exponential,
+    PoleError,
+    Polynomial,
+    Reciprocal,
+    Sine,
+)
 from vandiff.identity import floating_suite_points
-from vandiff.points import PointSequence
+from vandiff.points import PointSequence, sum_bounds
 from vandiff.quad import (
     MAX_DIMENSION,
     MAX_ORDER,
@@ -369,6 +376,26 @@ def test_sine_translate_is_built_once_per_call(monkeypatch, n, translates):
     assert math.isfinite(got.value)
 
 
+@pytest.mark.parametrize("name", ["exp", "sin", "recip", "poly"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_weighted_translate_is_built_once_per_call(monkeypatch, n, name):
+    # only a family without a split takes the slab-at-a-time hook, and
+    # only where the grid has a leading axis (from n = 4 at order 20)
+    built = []
+    for cls in (AnalyticFunction, Reciprocal):
+        hook = cls.weighted_translate
+
+        def spy(self, kernel, total, hook=hook):
+            built.append(total.shape)
+            return hook(self, kernel, total)
+
+        monkeypatch.setattr(cls, "weighted_translate", spy)
+    got = integral_side(floating_suite_points(n)[0], PIN_FUNCTIONS[name], 20)
+    once = n >= 4 and name in ("recip", "poly")
+    assert built == [(20, 20, 20)] * once
+    assert math.isfinite(got.value)
+
+
 # integral_side values at the first criterion-2 point sequence for each n,
 # as float.hex; from n = 4 the grid has a leading axis, and the values are
 # those of the contraction
@@ -450,6 +477,22 @@ def test_cubature_matches_a_50_digit_reference(n, family):
         got = integral_side(x, f, 20).value
         worst = max(worst, float(abs((got - ref) / ref)))
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("spans", [0.3, 1.0])
+@pytest.mark.parametrize("n", [4, 5])
+def test_recip_near_its_pole_matches_a_50_digit_reference(n, spans, side):
+    # the pole 0.3 or 1 widths of the coordinate-sum range below or above
+    # it, where f^(n) varies most over the box
+    mpmath = pytest.importorskip("mpmath")
+    for x in floating_suite_points(n)[:4]:
+        lo, hi = sum_bounds(x)
+        pole = hi + spans * (hi - lo) if side > 0 else lo - spans * (hi - lo)
+        f = Reciprocal(pole)
+        ref = _mp_product_side(mpmath, x, f)
+        got = integral_side(x, f, 20).value
+        assert float(abs((got - ref) / ref)) <= 1e-14
 
 
 # exp:1 on n + 1 unit-spaced points from `start`: the integral is within
