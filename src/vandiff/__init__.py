@@ -49,7 +49,6 @@ from .quad import (
     QuadratureRule,
     gauss_legendre,
     integral_side,
-    integrate_over_rectangle,
 )
 from .identity import (
     IdentityReport,
@@ -110,7 +109,6 @@ __all__ = [
     "floating_suite_points",
     "gauss_legendre",
     "integral_side",
-    "integrate_over_rectangle",
     "monotone_vertices",
     "omega",
     "parse_function",

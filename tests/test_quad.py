@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -27,33 +28,8 @@ from vandiff.quad import (
     BudgetExceededError,
     gauss_legendre,
     integral_side,
-    integrate_over_rectangle,
 )
 from vandiff.symfun import vandermonde_product
-
-
-def rect(*vals):
-    return PointSequence.floating(vals).intervals
-
-
-def plain(integrand):
-    """The two stages `integrate_over_rectangle` takes, for a plain
-    integrand of all n axes: the block function sums the weight grid
-    times the integrand over each slab of the block, called with the
-    slab's leading coordinates, then the trailing views."""
-
-    def first_stage(weights, *trailing):
-        def block(*lead):
-            slabs = zip(*lead) if lead else [()]
-            return [np.sum(weights * integrand(*slab, *trailing)) for slab in slabs]
-
-        return block
-
-    return first_stage
-
-
-def cubature(intervals, integrand, order, **kwargs):
-    return integrate_over_rectangle(intervals, plain(integrand), order, **kwargs)
 
 
 # -- one-dimensional rules ----------------------------------------------------------
@@ -123,81 +99,21 @@ def test_order_out_of_range():
         gauss_legendre(MAX_ORDER + 1)
 
 
-# -- cubature ---------------------------------------------------------------------
+# -- the integral side of the identity --------------------------------------------
 
 
-def test_constant_over_unit_interval():
-    got = cubature(rect(0, 1), lambda t: np.ones_like(t), 4)
-    assert got.value == pytest.approx(1.0, abs=1e-15)
-    assert got.function_evaluations == 4
+def test_one_dimensional_case_is_fundamental_theorem():
+    x = PointSequence.floating([0, 1])
+    got = integral_side(x, Exponential(1.0), 20)
+    assert got.value == pytest.approx(math.e - 1, rel=1e-14)
 
 
-def test_difference_over_box():
-    got = cubature(rect(0, 1, 2), lambda t1, t2: t2 - t1, 6)
-    assert got.value == pytest.approx(1.0, rel=1e-14)
-    assert got.function_evaluations == 36
-
-
-def test_polynomial_integrand_is_exact_at_low_order():
-    # degree 3 in each axis is integrated exactly from order 2 upward
-    def integrand(t1, t2):
-        return (t1**3 - 2 * t1) * (3 * t2**2 + 1)
-
-    lo = cubature(rect(0, 1, 2), integrand, 2)
-    hi = cubature(rect(0, 1, 2), integrand, 12)
-    assert lo.value == pytest.approx(hi.value, rel=1e-13)
-
-
-def test_known_closed_form_in_three_dimensions():
-    # integral of t1*t2*t3 over [0,1]^3 = 1/8
-    got = cubature(((0.0, 1.0),), lambda t: t, 8)
-    assert got.value == pytest.approx(0.5, rel=1e-14)
-    box = rect(0, 1)
-    prod = 1.0
-    for _ in range(3):
-        prod *= cubature(box, lambda t: t, 8).value
-    assert prod == pytest.approx(1 / 8, rel=1e-13)
-
-
-def test_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        cubature(rect(0, 1, 2, 3), lambda *t: t[0], 10, budget=999)
-
-
-@pytest.mark.parametrize(
-    "box",
-    [
-        rect(1e200, 2e200, 3e200),  # the slab weights
-        rect(0, 4, 5, 6, 7),  # the sum of 20 finite slab totals
-        rect(0, 2000, 2001, 2002, 2003),  # a slab total times its leading weight
-    ],
-)
-def test_overflow_raises_floating_point_error(box):
-    with pytest.raises(FloatingPointError):
-        cubature(box, lambda *t: 1e308, 20)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_overflow_in_a_slab_raises_in_every_thread(workers):
-    # order 20 in 5-D: 20 blocks of 20 slabs, so the overflow happens in a
-    # block call, inside the loop over blocks; the raise must not depend on
-    # the caller's floating-point error state, so the call is made from
-    # `workers` threads at once and each must see FloatingPointError
-    raised = [None] * workers
-
-    def run(i):
-        try:
-            cubature(rect(0, 1, 2, 3, 4, 5), lambda *t: t[-1] * 1e308, 20)
-        except FloatingPointError as exc:
-            raised[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    assert not any(t.is_alive() for t in threads)
-    assert all(isinstance(exc, FloatingPointError) for exc in raised)
+def test_two_dimensional_volume_case():
+    # f = s^2/2 has second derivative 1, so the integrand reduces to
+    # t2 - t1 over [0,1]x[1,2], which integrates to 1
+    f = Polynomial((0, 0, Fraction(1, 2)))
+    got = integral_side(PointSequence.floating([0, 1, 2]), f, 10)
+    assert got.value == pytest.approx(1.0, rel=1e-13)
 
 
 def reference_cubature(intervals, integrand, order):
@@ -216,96 +132,21 @@ def reference_cubature(intervals, integrand, order):
     return math.fsum(terms)
 
 
-# (n, order, slab size bound, k leading axes): the integrand's first stage
-# is called once and its block function once per block, order**(k-1)
-# times with k leading axes of `order` coordinates each, and once with
-# none when k = 0; a small bound reaches k = 2 on a grid the reference
-# can walk
-SLAB_CASES = [
+# (n, order, slab size bound, k leading axes): a call forms V of the
+# trailing axes once and V of the leading axes once per block, order**(k-1)
+# times; the cases span one slab (k = 0), one block (k = 1) and k = 2 and
+# 3, where a small bound reaches them on a grid the reference can walk, and
+# the last leaves a single trailing axis
+SIDE_CASES = [
     (1, 9, quad._CHUNK, 0),
     (2, 20, quad._CHUNK, 0),
+    (3, 6, quad._CHUNK, 0),
     (3, 41, quad._CHUNK, 1),
     (3, 4, 16, 1),
     (4, 3, 9, 2),
     (5, 3, 27, 2),
     (6, 2, 16, 2),
     (6, 3, 81, 2),
-]
-
-INTEGRANDS = {
-    "full": lambda *t: np.exp(0.3 * sum(t)) * (t[-1] - t[0] + 2.0),
-    "last axis only": lambda *t: np.cos(t[-1]),
-    "first axis only": lambda *t: 1.0 + t[0] ** 2,
-    "constant": lambda *t: 2.5,
-}
-
-
-@pytest.mark.parametrize("name", INTEGRANDS)
-@pytest.mark.parametrize("n, order, chunk, k", SLAB_CASES)
-def test_slabs_match_the_plain_tensor_rule(monkeypatch, n, order, chunk, k, name):
-    monkeypatch.setattr(quad, "_CHUNK", chunk)
-    box = rect(*[-0.8 + 0.35 * i + 0.05 * i * i for i in range(n + 1)])
-    integrand = INTEGRANDS[name]
-    calls = []
-
-    def counted(weights, *trailing):
-        calls.append(("first", weights.shape, len(trailing)))
-        block = plain(integrand)(weights, *trailing)
-
-        def counted_block(*lead):
-            calls.append(("block", [np.shape(t) for t in lead]))
-            return block(*lead)
-
-        return counted_block
-
-    got = integrate_over_rectangle(box, counted, order)
-    blocks = order ** (k - 1) if k else 1
-    first = ("first", (order,) * (n - k), n - k)
-    assert calls == [first] + [("block", [(order,)] * k)] * blocks
-    want = reference_cubature(box, integrand, order)
-    assert got.value == pytest.approx(want, rel=1e-14)
-    assert got.function_evaluations == order**n
-
-
-def test_no_call_sees_more_than_one_chunk():
-    sizes = []
-
-    def spy(*t):
-        sizes.append(math.prod(np.broadcast_shapes(*(np.shape(a) for a in t))))
-        return 0.0
-
-    for n in range(1, MAX_DIMENSION + 1):
-        sizes.clear()
-        cubature(rect(*range(n + 1)), spy, 10)
-        assert max(sizes) <= quad._CHUNK
-        assert sum(sizes) == 10**n  # the slabs tile the grid
-
-
-# -- the integral side of the identity --------------------------------------------
-
-
-def test_one_dimensional_case_is_fundamental_theorem():
-    x = PointSequence.floating([0, 1])
-    got = integral_side(x, Exponential(1.0), 20)
-    assert got.value == pytest.approx(math.e - 1, rel=1e-14)
-
-
-def test_two_dimensional_volume_case():
-    # f = s^2/2 has second derivative 1, so the integrand reduces to
-    # t2 - t1 over [0,1]x[1,2], which integrates to 1
-    f = Polynomial((0, 0, Fraction(1, 2)))
-    got = integral_side(PointSequence.floating([0, 1, 2]), f, 10)
-    assert got.value == pytest.approx(1.0, rel=1e-13)
-
-
-# (n, order, slab size bound, k leading axes); the last case leaves a
-# single trailing axis
-SIDE_CASES = [
-    (1, 9, quad._CHUNK, 0),
-    (3, 6, quad._CHUNK, 0),
-    (3, 4, 16, 1),
-    (4, 3, 9, 2),
-    (5, 3, 27, 2),
     (4, 3, 3, 3),
 ]
 
@@ -331,9 +172,8 @@ def test_integral_side_matches_the_per_node_integrand(monkeypatch, n, order, chu
     monkeypatch.setattr(quad, "vandermonde_product", spy)
     x = PointSequence.floating([-0.8 + 0.35 * i + 0.05 * i * i for i in range(n + 1)])
     got = integral_side(x, f, order)
-    # the first stage forms the trailing axes' product once per call, and
-    # each block the product of its leading axes
     assert trailing_products.count(True) == 1 + (order ** (k - 1) if k else 0)
+    assert got.function_evaluations == order**n
     fn = f.derivative(n)
 
     def per_node(*t):
@@ -357,6 +197,55 @@ def test_integral_side_holds_less_than_order_slabs(f):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 20**3 * 8
+
+
+class GridSpy(AnalyticFunction):
+    """`inner` and its derivatives, recording the size of every grid the
+    cubature hands them or gets back from them."""
+
+    def __init__(self, inner, sizes):
+        self.inner = inner
+        self.sizes = sizes
+
+    def derivative(self, k=1):
+        return GridSpy(self.inner.derivative(k), self.sizes)
+
+    def __call__(self, x):
+        self.sizes.append(np.size(x))
+        return self.inner(x)
+
+    def split(self, total, centre):
+        self.sizes.append(total.size)
+        terms = self.inner.split(total, centre)
+        self.sizes += [grid.size for _, grid in terms]
+        return terms
+
+    def weighted_translate(self, kernel, total):
+        self.sizes.append(total.size)
+        at = self.inner.weighted_translate(kernel, total)
+
+        def spied(s):
+            out = at(s)
+            self.sizes.append(out.size)
+            return out
+
+        return spied
+
+    def pole(self):
+        return self.inner.pole()
+
+    def describe(self):
+        return self.inner.describe()
+
+
+def test_no_call_sees_more_than_one_chunk():
+    # exp takes the split, recip the weighted translate
+    for f in (Exponential(1.0), Reciprocal(-1.0)):
+        for n in range(1, MAX_DIMENSION + 1):
+            sizes = []
+            got = integral_side(PointSequence.floating(range(n + 1)), GridSpy(f, sizes), 10)
+            assert got.function_evaluations == 10**n
+            assert sizes and max(sizes) <= quad._CHUNK
 
 
 @pytest.mark.parametrize("n, translates", [(3, 0), (4, 1), (5, 1)])
@@ -506,6 +395,56 @@ def test_centred_split_is_finite_near_the_float_maximum(n, start):
     ref = _mp_product_side(mpmath, x, Exponential(1.0))
     assert ref > 1e304
     assert float(abs((got - ref) / ref)) <= 1e-14
+
+
+def test_budget_guard():
+    x = PointSequence.floating([0, 1, 2, 3])
+    message = r"^10\^3 = 1000 node evaluations exceed the budget 999$"
+    with pytest.raises(BudgetExceededError, match=message):
+        integral_side(x, Exponential(1.0), 10, budget=999)
+
+
+@pytest.mark.parametrize(
+    "box, f",
+    [
+        # the slab weights
+        ((1e200, 2e200, 3e200), Polynomial((0, 0, 1))),
+        # the sum of 20 finite partials
+        ((0, 4, 5, 6, 7), Polynomial((0, 0, 0, 0, 2 * 10**304))),
+        # a slab total times its leading weight: only the last slab's
+        # partial overflows, and the rest sum to a finite value
+        ((-200, 0, 1, 2, 3), Exponential(7.0, 5e289)),
+    ],
+    ids=["box0", "box1", "box2"],
+)
+def test_overflow_names_the_function(box, f):
+    message = f"^the cubature for {re.escape(f.describe())} overflows the float range$"
+    with pytest.raises(OverflowError, match=message):
+        integral_side(PointSequence.floating(box), f, 20)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_overflow_in_a_slab_raises_in_every_thread(workers):
+    # order 20 in 5-D: 20 blocks of 20 slabs, and f^(5)(s) = 7.2e307 * s
+    # overflows in the first block, inside the loop over blocks; the raise
+    # must not depend on the caller's floating-point error state, so the
+    # call is made from `workers` threads at once and each must see it
+    f = Polynomial((0,) * 6 + (10**305,))
+    raised = [None] * workers
+
+    def run(i):
+        try:
+            integral_side(PointSequence.floating(range(6)), f, 20)
+        except OverflowError as exc:
+            raised[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert all(isinstance(exc, OverflowError) for exc in raised)
 
 
 def test_pole_inside_sum_range_rejected():
